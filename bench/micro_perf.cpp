@@ -6,10 +6,13 @@
 #include <vector>
 
 #include "baseline/lda.h"
+#include "collect/exporter.h"
 #include "common/rng.h"
 #include "net/hash.h"
 #include "net/prefix_table.h"
 #include "rli/receiver.h"
+#include "rlir/demux.h"
+#include "rlir/receiver.h"
 #include "sim/queue.h"
 #include "timebase/clock.h"
 #include "topo/ecmp.h"
@@ -19,6 +22,7 @@
 namespace {
 
 using namespace rlir;
+namespace rr = ::rlir::rlir;
 
 net::FiveTuple random_key(common::Xoshiro256& rng) {
   net::FiveTuple key;
@@ -92,6 +96,109 @@ void BM_PrefixTableLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PrefixTableLookup);
+
+/// A regular packet from a random host under `origin` to one under `dst_tor`.
+net::Packet fabric_packet(const topo::FatTree& topo, topo::NodeId origin,
+                          topo::NodeId dst_tor, common::Xoshiro256& rng) {
+  net::Packet p;
+  p.key.src = topo.host_address(origin, static_cast<int>(rng.uniform_u64(200)));
+  p.key.dst = topo.host_address(dst_tor, static_cast<int>(rng.uniform_u64(200)));
+  p.key.src_port = static_cast<std::uint16_t>(rng.next());
+  p.key.dst_port = static_cast<std::uint16_t>(rng.next());
+  return p;
+}
+
+// Upstream demux at a core: one /24 rule per ToR of a k=48 fat tree.
+void BM_PrefixDemuxClassify(benchmark::State& state) {
+  const topo::FatTree topo(48);
+  rr::PrefixDemux demux;
+  for (int pod = 0; pod < topo.pods(); ++pod) {
+    for (int t = 0; t < topo.tors_per_pod(); ++t) {
+      demux.add_origin(topo.host_prefix(topo.tor(pod, t)),
+                       static_cast<net::SenderId>(pod * topo.tors_per_pod() + t));
+    }
+  }
+  common::Xoshiro256 rng(11);
+  std::vector<net::Packet> packets;
+  for (int i = 0; i < 1024; ++i) {
+    const auto origin = topo.tor(static_cast<int>(rng.uniform_u64(48)),
+                                 static_cast<int>(rng.uniform_u64(24)));
+    packets.push_back(fabric_packet(topo, origin, topo.tor(0, 0), rng));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(demux.classify(packets[i++ & 1023]));
+  }
+}
+BENCHMARK(BM_PrefixDemuxClassify);
+
+// Downstream demux at a destination ToR, cross-pod traffic (the reverse-ECMP
+// path); compare with BM_ReverseEcmpCore at the same k.
+void BM_ReverseEcmpDemuxClassify(benchmark::State& state) {
+  const topo::FatTree topo(static_cast<int>(state.range(0)));
+  const topo::Crc32EcmpHasher hasher;
+  const auto receiver = topo.tor(topo.pods() - 1, 0);
+  rr::ReverseEcmpDemux demux(&topo, &hasher, receiver);
+  for (int c = 0; c < topo.core_count(); ++c) {
+    demux.set_sender_at_core(c, static_cast<net::SenderId>(c));
+  }
+  common::Xoshiro256 rng(12);
+  const auto other_pods = static_cast<std::uint64_t>(topo.pods() - 1);
+  const auto tors = static_cast<std::uint64_t>(topo.tors_per_pod());
+  std::vector<net::Packet> packets;
+  for (int i = 0; i < 1024; ++i) {
+    const auto origin = topo.tor(static_cast<int>(rng.uniform_u64(other_pods)),
+                                 static_cast<int>(rng.uniform_u64(tors)));
+    packets.push_back(fabric_packet(topo, origin, receiver, rng));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(demux.classify(packets[i++ & 1023]));
+  }
+}
+BENCHMARK(BM_ReverseEcmpDemuxClassify)->Arg(4)->Arg(16)->Arg(48);
+
+// One tap packet through a destination-ToR vantage: reverse-ECMP demux,
+// interpolation in the sender's stream, and the exporter's sketch add for
+// each estimate. 48 flows over the four cores of a k=4 fabric, one reference
+// per 25 packets (each core's sender every 100), as in a long-flow workload.
+void BM_RlirReceiverExportPacket(benchmark::State& state) {
+  const topo::FatTree topo(4);
+  const topo::Crc32EcmpHasher hasher;
+  const auto receiver_tor = topo.tor(3, 0);
+  rr::ReverseEcmpDemux demux(&topo, &hasher, receiver_tor);
+  for (int c = 0; c < topo.core_count(); ++c) {
+    demux.set_sender_at_core(c, static_cast<net::SenderId>(c));
+  }
+  const timebase::PerfectClock clock;
+  rr::RlirReceiver receiver(rli::ReceiverConfig{}, &clock, &demux);
+  collect::EstimateExporter exporter(collect::ExporterConfig{});
+  exporter.attach(receiver);
+
+  common::Xoshiro256 rng(13);
+  std::vector<net::Packet> flows;
+  for (int f = 0; f < 48; ++f) {
+    flows.push_back(fabric_packet(topo, topo.tor(f % 3, f % 2), receiver_tor, rng));
+  }
+  std::int64_t t = 0;
+  std::uint64_t n = 0;
+  for (auto _ : state) {
+    t += 700;
+    if (n % 25 == 0) {
+      net::Packet ref = net::make_reference_packet(
+          static_cast<net::SenderId>((n / 25) % 4), timebase::TimePoint(t),
+          timebase::TimePoint(t - 2000 - static_cast<std::int64_t>(n % 7) * 300), n);
+      receiver.on_packet(ref, ref.ts);
+    } else {
+      net::Packet& pkt = flows[n % 48];
+      pkt.ts = timebase::TimePoint(t);
+      receiver.on_packet(pkt, pkt.ts);
+    }
+    ++n;
+  }
+  benchmark::DoNotOptimize(exporter.estimates_observed());
+}
+BENCHMARK(BM_RlirReceiverExportPacket);
 
 void BM_FifoQueueOffer(benchmark::State& state) {
   sim::QueueConfig cfg;

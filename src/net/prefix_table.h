@@ -1,15 +1,20 @@
 // Longest-prefix-match table over IPv4 prefixes.
 //
-// Implemented as an uncompressed binary trie with nodes in a flat vector —
-// bounded at 32 steps per lookup, no recursion, cache-friendly enough for the
-// table sizes a demultiplexer needs (one entry per ToR block).
+// One exact-match flat hash map keyed by (length, masked base), probed
+// longest length first over the distinct lengths present. A demultiplexer's
+// rules mostly share one length (one /24 per ToR block), so a lookup is
+// usually a single probe, with no allocation and no pointer chasing.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
+#include "common/flat_hash_map.h"
+#include "net/hash.h"
 #include "net/ipv4.h"
 
 namespace rlir::net {
@@ -17,22 +22,17 @@ namespace rlir::net {
 template <typename T>
 class PrefixTable {
  public:
-  PrefixTable() { nodes_.emplace_back(); }
-
   /// Inserts or overwrites the value for a prefix.
   void insert(const Ipv4Prefix& prefix, T value) {
-    std::size_t node = 0;
-    for (std::uint8_t depth = 0; depth < prefix.length(); ++depth) {
-      const int bit = (prefix.base().value() >> (31 - depth)) & 1;
-      if (nodes_[node].child[bit] < 0) {
-        const auto next = static_cast<std::int32_t>(nodes_.size());
-        nodes_.emplace_back();  // may reallocate; re-index below
-        nodes_[node].child[bit] = next;
-      }
-      node = static_cast<std::size_t>(nodes_[node].child[bit]);
+    auto [it, inserted] = entries_.try_emplace(key_of(prefix), std::move(value));
+    if (!inserted) {
+      it->second = std::move(value);  // try_emplace left `value` untouched
+      return;
     }
-    if (!nodes_[node].value.has_value()) ++entries_;
-    nodes_[node].value = std::move(value);
+    if (std::find(lengths_.begin(), lengths_.end(), prefix.length()) == lengths_.end()) {
+      lengths_.push_back(prefix.length());
+      std::sort(lengths_.begin(), lengths_.end(), std::greater<>());
+    }
   }
 
   /// Longest-prefix match; nullopt when no inserted prefix covers `addr`.
@@ -45,41 +45,37 @@ class PrefixTable {
   /// Pointer form of lookup (no copy); nullptr when there is no match.
   /// The pointer is invalidated by the next insert.
   [[nodiscard]] const T* lookup_ptr(Ipv4Address addr) const {
-    const T* best = nodes_[0].value ? &*nodes_[0].value : nullptr;
-    std::size_t node = 0;
-    for (int depth = 0; depth < 32; ++depth) {
-      const int bit = (addr.value() >> (31 - depth)) & 1;
-      const std::int32_t child = nodes_[node].child[bit];
-      if (child < 0) break;
-      node = static_cast<std::size_t>(child);
-      if (nodes_[node].value) best = &*nodes_[node].value;
+    for (const std::uint8_t length : lengths_) {
+      const auto it = entries_.find(key_of(Ipv4Prefix(addr, length)));
+      if (it != entries_.end()) return &it->second;
     }
-    return best;
+    return nullptr;
   }
 
   /// Exact-match retrieval of a previously inserted prefix.
   [[nodiscard]] std::optional<T> find_exact(const Ipv4Prefix& prefix) const {
-    std::size_t node = 0;
-    for (std::uint8_t depth = 0; depth < prefix.length(); ++depth) {
-      const int bit = (prefix.base().value() >> (31 - depth)) & 1;
-      const std::int32_t child = nodes_[node].child[bit];
-      if (child < 0) return std::nullopt;
-      node = static_cast<std::size_t>(child);
-    }
-    return nodes_[node].value;
+    const auto it = entries_.find(key_of(prefix));
+    if (it == entries_.end()) return std::nullopt;
+    return it->second;
   }
 
-  [[nodiscard]] std::size_t size() const { return entries_; }
-  [[nodiscard]] bool empty() const { return entries_ == 0; }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] bool empty() const { return entries_.empty(); }
 
  private:
-  struct Node {
-    std::int32_t child[2] = {-1, -1};
-    std::optional<T> value;
+  /// std::hash<uint64_t> is the identity, and the slot index is the key's
+  /// low bits — which a /24 base leaves zero. Mix first.
+  struct KeyHash {
+    std::size_t operator()(std::uint64_t key) const { return mix64(key); }
   };
 
-  std::vector<Node> nodes_;
-  std::size_t entries_ = 0;
+  [[nodiscard]] static std::uint64_t key_of(const Ipv4Prefix& prefix) {
+    return (std::uint64_t{prefix.length()} << 32) | prefix.base().value();
+  }
+
+  common::FlatHashMap<std::uint64_t, T, KeyHash> entries_;
+  /// Distinct prefix lengths present, longest first.
+  std::vector<std::uint8_t> lengths_;
 };
 
 }  // namespace rlir::net

@@ -2,16 +2,17 @@
 //
 // "Obtaining per-flow measurements now is just a matter of aggregating
 // latency estimates across packets that share a given flow key." (Section 2)
-// Estimates and ground truth both accumulate into FlowStatsMap; the
+// Estimates and ground truth both accumulate into FlowStatsMap, a flat hash
+// map (one probe, no heap node per flow; unspecified iteration order). The
 // AccuracyReport joins them and produces the relative-error CDFs that
 // Figure 4 plots.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_hash_map.h"
 #include "common/stats.h"
 #include "net/flow_key.h"
 #include "net/packet.h"
@@ -20,7 +21,7 @@
 
 namespace rlir::rli {
 
-using FlowStatsMap = std::unordered_map<net::FiveTuple, common::RunningStats>;
+using FlowStatsMap = common::FlatHashMap<net::FiveTuple, common::RunningStats>;
 
 /// Evaluation-side tap that records the *true* per-flow delay distribution
 /// (reads Packet::true_delay(), which the measurement stack never touches).

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "net/packet.h"
 #include "net/prefix_table.h"
@@ -103,7 +104,7 @@ class ReverseEcmpDemux final : public Demultiplexer {
   const topo::FatTree* topo_;
   const topo::EcmpHasher* hasher_;
   topo::NodeId receiver_tor_;
-  std::unordered_map<int, net::SenderId> sender_at_core_;
+  std::vector<std::optional<net::SenderId>> sender_at_core_;  // by core index
   net::PrefixTable<net::SenderId> same_pod_origins_;
 };
 

@@ -27,6 +27,14 @@ std::array<std::byte, 21> key_bytes(const net::FiveTuple& key, std::uint64_t sal
   return buf;
 }
 
+/// Hash choice of `router` among its k/2 uplinks: the ToR picks the edge
+/// position, the edge picks the core offset.
+int uplink(const FatTree& topo, const EcmpHasher& hasher, const net::FiveTuple& key,
+           NodeId router) {
+  const auto half = static_cast<std::uint32_t>(topo.k() / 2);
+  return static_cast<int>(hasher.select(key, router_salt(topo, router), half));
+}
+
 }  // namespace
 
 std::uint32_t Crc32EcmpHasher::hash(const net::FiveTuple& key, std::uint64_t salt) const {
@@ -61,22 +69,12 @@ std::uint64_t router_salt(const FatTree& topo, NodeId node) {
 
 std::vector<NodeId> ecmp_route(const FatTree& topo, const EcmpHasher& hasher,
                                const net::FiveTuple& key, NodeId src_tor, NodeId dst_tor) {
-  const int half = topo.k() / 2;
   if (src_tor == dst_tor) return {src_tor};
-
-  const std::uint32_t edge_pos =
-      hasher.select(key, router_salt(topo, src_tor), static_cast<std::uint32_t>(half));
-  const NodeId up_edge = topo.edge(src_tor.pod, static_cast<int>(edge_pos));
-
-  if (src_tor.pod == dst_tor.pod) {
-    return {src_tor, up_edge, dst_tor};
-  }
-
-  const std::uint32_t core_off =
-      hasher.select(key, router_salt(topo, up_edge), static_cast<std::uint32_t>(half));
-  const NodeId via_core = topo.core_for(static_cast<int>(edge_pos), static_cast<int>(core_off));
-  const NodeId down_edge = topo.edge(dst_tor.pod, static_cast<int>(edge_pos));
-  return {src_tor, up_edge, via_core, down_edge, dst_tor};
+  const int edge_pos = uplink(topo, hasher, key, src_tor);
+  const NodeId up_edge = topo.edge(src_tor.pod, edge_pos);
+  if (src_tor.pod == dst_tor.pod) return {src_tor, up_edge, dst_tor};
+  return {src_tor, up_edge, topo.core_for(edge_pos, uplink(topo, hasher, key, up_edge)),
+          topo.edge(dst_tor.pod, edge_pos), dst_tor};
 }
 
 NodeId reverse_ecmp_core(const FatTree& topo, const EcmpHasher& hasher,
@@ -84,8 +82,10 @@ NodeId reverse_ecmp_core(const FatTree& topo, const EcmpHasher& hasher,
   if (src_tor.pod == dst_tor.pod) {
     throw std::invalid_argument("reverse_ecmp_core: same-pod flows do not cross a core");
   }
-  const auto route = ecmp_route(topo, hasher, key, src_tor, dst_tor);
-  return route.at(2);  // {src_tor, edge, core, edge, dst_tor}
+  // ecmp_route's two upstream hash choices, without building the path.
+  const int edge_pos = uplink(topo, hasher, key, src_tor);
+  const NodeId up_edge = topo.edge(src_tor.pod, edge_pos);
+  return topo.core_for(edge_pos, uplink(topo, hasher, key, up_edge));
 }
 
 }  // namespace rlir::topo

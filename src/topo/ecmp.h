@@ -83,7 +83,8 @@ class XorFoldEcmpHasher final : public EcmpHasher {
 /// Receiver-side inversion: which core does flow `key` from `src_tor` to
 /// `dst_tor` traverse? Requires cross-pod src/dst; this is the computation
 /// an RLIR downstream receiver runs when it knows the upstream hash
-/// functions. Returns the core node.
+/// functions. Returns the core node; shares ecmp_route's hash choices but
+/// builds no path, so it allocates nothing.
 [[nodiscard]] NodeId reverse_ecmp_core(const FatTree& topo, const EcmpHasher& hasher,
                                        const net::FiveTuple& key, NodeId src_tor,
                                        NodeId dst_tor);

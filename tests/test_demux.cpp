@@ -1,6 +1,8 @@
 // Unit tests: rlir/demux.h — the three demultiplexing strategies.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "common/rng.h"
 #include "rlir/demux.h"
 
@@ -116,6 +118,71 @@ TEST_F(ReverseEcmpDemuxTest, UnregisteredCoreUnclassified) {
   EXPECT_FALSE(demux.classify(packet_from(topo_.host_address(topo_.tor(0, 0), 1),
                                           topo_.host_address(receiver_tor_, 1))));
 }
+
+
+// Oracle: on every fabric size and hasher, the demux attributes each packet
+// exactly as forward routing placed it. Cross-pod packets go to the sender
+// at the route's core (route[2]); same-pod packets fall back to the prefix
+// rule; a core with no registered sender yields nullopt.
+class ReverseEcmpOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(ReverseEcmpOracle, AgreesWithEcmpRouteForEveryTorPair) {
+  const topo::FatTree topo(GetParam());
+  const topo::Crc32EcmpHasher crc;
+  const topo::JenkinsEcmpHasher jenkins;
+  const topo::XorFoldEcmpHasher xorfold;
+  const std::array<const topo::EcmpHasher*, 3> hashers{&crc, &jenkins, &xorfold};
+  const int unregistered_core = topo.core_count() - 1;
+  common::Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()));
+
+  for (const topo::EcmpHasher* hasher : hashers) {
+    int unregistered_hits = 0;
+    for (int rpod = 0; rpod < topo.pods(); ++rpod) {
+      for (int ri = 0; ri < topo.tors_per_pod(); ++ri) {
+        const topo::NodeId receiver = topo.tor(rpod, ri);
+        ReverseEcmpDemux demux(&topo, hasher, receiver);
+        for (int c = 0; c < unregistered_core; ++c) {
+          demux.set_sender_at_core(c, static_cast<net::SenderId>(1000 + c));
+        }
+        for (int t = 0; t < topo.tors_per_pod(); ++t) {
+          demux.add_same_pod_origin(topo.host_prefix(topo.tor(rpod, t)),
+                                    static_cast<net::SenderId>(500 + t));
+        }
+        for (int opod = 0; opod < topo.pods(); ++opod) {
+          for (int oi = 0; oi < topo.tors_per_pod(); ++oi) {
+            const topo::NodeId origin = topo.tor(opod, oi);
+            for (int n = 0; n < 4; ++n) {
+              net::Packet p = packet_from(
+                  topo.host_address(origin, static_cast<int>(rng.uniform_u64(200))),
+                  topo.host_address(receiver, static_cast<int>(rng.uniform_u64(200))));
+              p.key.src_port = static_cast<std::uint16_t>(rng.next());
+              p.key.dst_port = static_cast<std::uint16_t>(rng.next());
+              p.key.proto = static_cast<std::uint8_t>(rng.next());
+              const auto got = demux.classify(p);
+              if (opod == rpod) {
+                ASSERT_EQ(got, std::optional<net::SenderId>(500 + oi))
+                    << hasher->name() << " " << p.key.to_string();
+                continue;
+              }
+              const int core =
+                  topo::ecmp_route(topo, *hasher, p.key, origin, receiver)[2].index;
+              if (core == unregistered_core) {
+                ++unregistered_hits;
+                ASSERT_FALSE(got) << hasher->name() << " " << p.key.to_string();
+              } else {
+                ASSERT_EQ(got, std::optional<net::SenderId>(1000 + core))
+                    << hasher->name() << " " << p.key.to_string();
+              }
+            }
+          }
+        }
+      }
+    }
+    EXPECT_GT(unregistered_hits, 0) << hasher->name();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FabricSizes, ReverseEcmpOracle, ::testing::Values(4, 8, 16));
 
 }  // namespace
 }  // namespace rlir::rlir

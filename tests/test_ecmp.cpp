@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
 
 #include "common/rng.h"
@@ -139,6 +140,13 @@ struct ReverseEcmpCase {
   int k;
   const char* hasher;
 };
+
+// Names the instances "k4_crc32c" and so on. gtest's default printer dumps
+// the struct's bytes — padding and the literal's address included — so the
+// test names changed from run to run.
+void PrintTo(const ReverseEcmpCase& c, std::ostream* os) {
+  *os << "k" << c.k << "_" << c.hasher;
+}
 
 class ReverseEcmpSweep : public ::testing::TestWithParam<ReverseEcmpCase> {
  protected:

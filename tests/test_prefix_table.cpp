@@ -1,7 +1,11 @@
-// Unit tests: net/prefix_table.h — longest-prefix-match trie.
+// Unit tests: net/prefix_table.h — longest-prefix-match table (flat hash
+// per prefix length, probed longest first).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "net/prefix_table.h"
@@ -72,8 +76,8 @@ TEST(PrefixTable, FindExact) {
   EXPECT_FALSE(table.find_exact(Ipv4Prefix(Ipv4Address(10, 0, 0, 0), 8)));
 }
 
-// Regression: inserting many prefixes reallocates the node vector; the trie
-// must stay intact (this once hid a use-after-free on vector growth).
+// Regression: inserting many prefixes regrows the table's storage; every
+// entry must stay reachable (this once hid a use-after-free on vector growth).
 TEST(PrefixTable, ManyInsertsSurviveReallocation) {
   PrefixTable<int> table;
   for (int pod = 0; pod < 48; ++pod) {
@@ -95,7 +99,7 @@ TEST(PrefixTable, ManyInsertsSurviveReallocation) {
   }
 }
 
-// Property: the trie agrees with brute-force LPM over random rule sets.
+// Property: the table agrees with brute-force LPM over random rule sets.
 class PrefixTableRandomSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PrefixTableRandomSweep, AgreesWithBruteForce) {
@@ -135,6 +139,79 @@ TEST_P(PrefixTableRandomSweep, AgreesWithBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrefixTableRandomSweep, ::testing::Values(1, 2, 3, 4, 5));
+
+
+// Property: against a linear-scan model with overwrite semantics, over rule
+// sets mixing every length /0../32. Bases come from a small pool so prefixes
+// nest and repeat (overwrites); queries land near the pool so deep matches
+// are exercised, not only the short prefixes a random address would hit.
+class PrefixTableModelSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PrefixTableModelSweep, MatchesLinearScanModel) {
+  common::Xoshiro256 rng(GetParam());
+  std::vector<std::uint32_t> pool;
+  for (int i = 0; i < 6; ++i) pool.push_back(static_cast<std::uint32_t>(rng.next()));
+  auto near_pool = [&] {
+    // Randomize the low 32-s bits: the address keeps s leading bits of a pool base.
+    const auto flip = static_cast<std::uint32_t>((rng.next() >> 32) >> rng.uniform_u64(33));
+    return Ipv4Address(pool[rng.uniform_u64(pool.size())] ^ flip);
+  };
+
+  PrefixTable<int> table;
+  std::vector<std::pair<Ipv4Prefix, int>> model;
+  auto model_lookup = [&](Ipv4Address addr) -> std::optional<int> {
+    const std::pair<Ipv4Prefix, int>* best = nullptr;
+    for (const auto& rule : model) {
+      if (!rule.first.contains(addr)) continue;
+      if (best == nullptr || rule.first.length() > best->first.length()) {
+        best = &rule;
+      }
+    }
+    if (best == nullptr) return std::nullopt;
+    return best->second;
+  };
+
+  for (int step = 0; step < 300; ++step) {
+    const Ipv4Prefix prefix(near_pool(), static_cast<std::uint8_t>(rng.uniform_u64(33)));
+    const int value = step;
+    table.insert(prefix, value);
+    bool overwrote = false;
+    for (auto& rule : model) {
+      if (rule.first == prefix) {
+        rule.second = value;
+        overwrote = true;
+      }
+    }
+    if (!overwrote) model.emplace_back(prefix, value);
+    ASSERT_EQ(table.size(), model.size());
+    ASSERT_FALSE(table.empty());
+
+    for (int q = 0; q < 20; ++q) {
+      const Ipv4Address addr =
+          q % 4 == 0 ? Ipv4Address(static_cast<std::uint32_t>(rng.next())) : near_pool();
+      const std::optional<int> want = model_lookup(addr);
+      ASSERT_EQ(table.lookup(addr), want) << addr.to_string();
+      const int* ptr = table.lookup_ptr(addr);
+      ASSERT_EQ(ptr == nullptr, !want.has_value()) << addr.to_string();
+      if (ptr != nullptr) {
+        ASSERT_EQ(*ptr, *want);
+      }
+    }
+
+    const Ipv4Prefix probe(near_pool(), static_cast<std::uint8_t>(rng.uniform_u64(33)));
+    std::optional<int> want_exact;
+    for (const auto& rule : model) {
+      if (rule.first == probe) want_exact = rule.second;
+    }
+    ASSERT_EQ(table.find_exact(probe), want_exact) << probe.to_string();
+  }
+  for (const auto& [prefix, value] : model) {
+    EXPECT_EQ(table.find_exact(prefix), value) << prefix.to_string();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PrefixTableModelSweep,
+                         ::testing::Values(11, 12, 13, 14, 15, 16));
 
 }  // namespace
 }  // namespace rlir::net
