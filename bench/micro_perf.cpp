@@ -2,7 +2,12 @@
 // not a paper figure — validates that the building blocks are fast enough
 // for paper-scale replays (tens of millions of packets).
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <filesystem>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "baseline/lda.h"
@@ -18,6 +23,9 @@
 #include "topo/ecmp.h"
 #include "trace/flowmeter.h"
 #include "trace/synthetic.h"
+#include "transport/agent.h"
+#include "transport/coordinator.h"
+#include "transport/socket.h"
 
 namespace {
 
@@ -284,6 +292,30 @@ void BM_RliReceiverPacket(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RliReceiverPacket);
+
+// The transport latency floor under the pipeline bench: one coordinator
+// kStats round trip over a Unix socket to an agent serving from its own
+// run() thread (collector_daemon's shape). Wall time per round trip: the
+// coordinator mostly blocks waiting for the reply.
+void BM_UnixSocketQueryRoundTrip(benchmark::State& state) {
+  const auto address = transport::SocketAddress::unix_path(
+      (std::filesystem::temp_directory_path() /
+       ("rlir_micro_rtt_" + std::to_string(::getpid()) + ".sock"))
+          .string());
+  transport::CollectorAgent agent;
+  agent.set_listener(std::make_unique<transport::SocketListener>(address));
+  std::atomic<bool> stop{false};
+  std::thread serve([&] { agent.run(stop); });
+  {
+    transport::QueryCoordinator coord;
+    coord.add_agent([address] { return transport::connect_to(address); });
+    for (auto _ : state) benchmark::DoNotOptimize(coord.fleet_stats());
+    if (coord.stats().agent_failures != 0) state.SkipWithError("a round trip failed");
+  }
+  stop.store(true);
+  serve.join();
+}
+BENCHMARK(BM_UnixSocketQueryRoundTrip)->UseRealTime();
 
 }  // namespace
 

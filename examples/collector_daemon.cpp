@@ -19,7 +19,6 @@
 #include <exception>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "collect/slo_watcher.h"
 #include "obs/exposition.h"
@@ -221,7 +220,9 @@ int main(int argc, char** argv) {
         // boundaries prints one line, not one per boundary.
         next_health_epoch = (agent.stats().epochs / metrics_every + 1) * metrics_every;
       }
-      if (frames == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      // Idle: block until agent traffic arrives, at most 1 ms (the HTTP
+      // server and the SLO watcher are polled at least that often).
+      if (frames == 0) agent.wait(timebase::Duration::milliseconds(1));
     }
 
     const auto stats = agent.stats();

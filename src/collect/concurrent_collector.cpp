@@ -54,9 +54,19 @@ ConcurrentShardedCollector::~ConcurrentShardedCollector() {
   }
 }
 
+template <typename Record>
+void ConcurrentShardedCollector::ingest_locked(Lane& lane, const Record& record) {
+  const std::size_t lane_epochs = lane.state.epoch_count();
+  lane.state.ingest(record);
+  if (lane.state.epoch_count() != lane_epochs) {
+    const std::lock_guard<std::mutex> lock(epochs_mu_);
+    epochs_.insert(record.epoch);
+  }
+}
+
 void ConcurrentShardedCollector::apply(Lane& lane, const EstimateRecord& record) {
   const std::lock_guard<std::mutex> lock(lane.state_mu);
-  lane.state.ingest(record);
+  ingest_locked(lane, record);
 }
 
 void ConcurrentShardedCollector::submit(EstimateRecord record) {
@@ -124,7 +134,7 @@ void ConcurrentShardedCollector::submit(std::vector<EstimateRecord> batch) {
       // Overflow spills to the inline path in one state-lock session.
       fallbacks_->add(chunk.size() - accepted);
       const std::lock_guard<std::mutex> state_lock(lane.state_mu);
-      for (std::size_t r = accepted; r < chunk.size(); ++r) lane.state.ingest(chunk[r]);
+      for (std::size_t r = accepted; r < chunk.size(); ++r) ingest_locked(lane, chunk[r]);
     }
   }
 }
@@ -154,7 +164,7 @@ void ConcurrentShardedCollector::submit_views(const std::vector<RecordView>& bat
       lock = std::unique_lock<std::mutex>(lanes_[l]->state_mu);
       locked_lane = l;
     }
-    lanes_[l]->state.ingest(record);
+    ingest_locked(*lanes_[l], record);
   }
 }
 
@@ -174,7 +184,7 @@ void ConcurrentShardedCollector::worker_loop(Lane& lane) {
     }
     {
       const std::lock_guard<std::mutex> state_lock(lane.state_mu);
-      for (const auto& record : local) lane.state.ingest(record);
+      for (const auto& record : local) ingest_locked(lane, record);
     }
     {
       const std::lock_guard<std::mutex> lock(lane.queue_mu);
@@ -351,15 +361,8 @@ std::uint64_t ConcurrentShardedCollector::estimates_ingested() {
 
 std::size_t ConcurrentShardedCollector::epoch_count() {
   quiesce();
-  std::vector<std::uint32_t> epochs;
-  for (auto& lane : lanes_) {
-    const std::lock_guard<std::mutex> lock(lane->state_mu);
-    const auto seen = lane->state.epochs_seen();
-    epochs.insert(epochs.end(), seen.begin(), seen.end());
-  }
-  std::sort(epochs.begin(), epochs.end());
-  epochs.erase(std::unique(epochs.begin(), epochs.end()), epochs.end());
-  return epochs.size();
+  const std::lock_guard<std::mutex> lock(epochs_mu_);
+  return epochs_.size();
 }
 
 std::vector<std::size_t> ConcurrentShardedCollector::shard_flow_counts() {

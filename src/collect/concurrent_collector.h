@@ -27,6 +27,7 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -178,6 +179,10 @@ class ConcurrentShardedCollector {
   }
   void worker_loop(Lane& lane);
   void apply(Lane& lane, const EstimateRecord& record);
+  /// Merges one record into `lane` (caller holds its state_mu) and adds the
+  /// record's epoch to epochs_ when it is new to this lane.
+  template <typename Record>
+  void ingest_locked(Lane& lane, const Record& record);
 
   ConcurrentCollectorConfig config_;
   obs::Instrumented obs_;
@@ -188,6 +193,13 @@ class ConcurrentShardedCollector {
   /// semantics, now scrapeable); submitted counts records entering submit().
   obs::Counter* fallbacks_ = nullptr;
   obs::Counter* submitted_ = nullptr;
+  /// Every distinct epoch any lane has seen, so epoch_count() reads a size
+  /// instead of gathering and deduplicating every lane's epochs per query.
+  /// Touched only on a lane's first sight of an epoch (at most lanes x
+  /// epochs times in total). epochs_mu_ is a leaf lock: taken under a
+  /// lane's state_mu, never the other way round.
+  std::mutex epochs_mu_;
+  std::unordered_set<std::uint32_t> epochs_;
 };
 
 }  // namespace rlir::collect

@@ -1,12 +1,11 @@
 #include "transport/agent.h"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "collect/estimate_record.h"
+#include "transport/socket.h"
 
 namespace rlir::transport {
 
@@ -350,10 +349,22 @@ AgentStats CollectorAgent::stats() {
   return s;
 }
 
+void CollectorAgent::wait(timebase::Duration max) {
+  wait_fds_.clear();
+  if (listener_ != nullptr) wait_fds_.push_back({listener_->native_handle(), POLLIN, 0});
+  for (const auto& conn : connections_) {
+    // POLLOUT only while replies are unsent: a writable socket is the
+    // normal state, so asking for it unconditionally would never block.
+    const bool unsent = conn->outbox_offset < conn->outbox.size();
+    wait_fds_.push_back({conn->stream->native_handle(),
+                         static_cast<short>(unsent ? POLLIN | POLLOUT : POLLIN), 0});
+  }
+  wait_for_io(wait_fds_, max);
+}
+
 void CollectorAgent::run(const std::atomic<bool>& stop, timebase::Duration idle_sleep) {
-  const auto sleep_ns = std::chrono::nanoseconds(idle_sleep.ns());
   while (!stop.load(std::memory_order_relaxed)) {
-    if (poll() == 0) std::this_thread::sleep_for(sleep_ns);
+    if (poll() == 0) wait(idle_sleep);
   }
   // Final sweep so frames that raced the stop flag still land.
   poll();

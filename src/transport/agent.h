@@ -19,12 +19,16 @@
 // read every readable byte, process complete frames, flush reply bytes.
 // A connection that violates the protocol (bad magic/CRC/length, a frame
 // type only agents send) is counted and dropped — on a raw byte stream
-// there is no safe resync. run() wraps poll() into a daemon loop.
+// there is no safe resync. wait() blocks until the listener or a connection
+// is ready (a timed sleep for fd-less loopback pipes), and run() alternates
+// the two into a daemon loop, so a frame is served as soon as it lands.
 //
-// Threading: poll()/run() from one thread at a time. The collector itself
+// Threading: poll()/wait()/run() from one thread at a time. The collector
 // is thread-safe, so queries against collector() from other threads are
 // fine (they quiesce), as is wiring additional in-process producers.
 #pragma once
+
+#include <poll.h>
 
 #include <atomic>
 #include <cstdint>
@@ -84,8 +88,16 @@ class CollectorAgent {
   /// dead connections. Returns the number of frames processed (0 = idle).
   std::size_t poll();
 
-  /// Daemon loop: poll() until `stop` is set, sleeping `idle_sleep` between
-  /// idle polls (busy polls go straight back around).
+  /// Blocks until the listener has a pending connection, a connection has
+  /// bytes to read (or, with replies unsent, room to write them), or `max`
+  /// passes. Connections without a descriptor (loopback pipes) cannot wake
+  /// it, so with only those it is a plain sleep of `max`.
+  void wait(timebase::Duration max);
+
+  /// Daemon loop: poll() until `stop` is set, wait(idle_sleep) after each
+  /// idle poll (busy polls go straight back around). `idle_sleep` bounds how
+  /// long the loop blocks: it is the stop latency and the poll period of
+  /// fd-less connections; socket traffic wakes the loop at once.
   void run(const std::atomic<bool>& stop,
            timebase::Duration idle_sleep = timebase::Duration::milliseconds(1));
 
@@ -172,6 +184,9 @@ class CollectorAgent {
   /// consumed before the next read). Single poll thread, so plain members.
   std::vector<std::uint8_t> read_chunk_;
   std::vector<collect::RecordView> view_scratch_;
+  /// wait()'s descriptor set, rebuilt in place each call (no allocation
+  /// once it has grown to the connection count).
+  std::vector<pollfd> wait_fds_;
 };
 
 }  // namespace rlir::transport

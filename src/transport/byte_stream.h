@@ -62,6 +62,11 @@ class ByteStream {
   /// Tears the stream down locally (idempotent). The peer observes EOF
   /// after draining whatever was already written.
   virtual void close() = 0;
+
+  /// The OS descriptor a reactor can wait on for readiness, or -1 when the
+  /// backend has none (in-memory pipes) or is closed. Waiters treat -1 as
+  /// "poll on a timer" (see wait_for_io in transport/socket.h).
+  [[nodiscard]] virtual int native_handle() const { return -1; }
 };
 
 /// Accept side of a connection-oriented backend: hands out one ByteStream
@@ -71,6 +76,9 @@ class Listener {
   virtual ~Listener() = default;
   /// The next pending connection, or nullptr when none is waiting.
   [[nodiscard]] virtual std::unique_ptr<ByteStream> accept() = 0;
+  /// Readable when a connection is pending; -1 when the backend has no
+  /// descriptor (same contract as ByteStream::native_handle).
+  [[nodiscard]] virtual int native_handle() const { return -1; }
 };
 
 /// Creates a connected in-memory duplex pipe: bytes written to one end are

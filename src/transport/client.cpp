@@ -1,10 +1,10 @@
 #include "transport/client.h"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
-#include <thread>
 #include <utility>
+
+#include "transport/socket.h"
 
 namespace rlir::transport {
 
@@ -330,14 +330,29 @@ std::optional<QueryReply> CollectorClient::poll_reply() {
 
 std::optional<QueryReply> CollectorClient::query(const Query& q, std::size_t max_pumps) {
   send_query(q);
-  for (std::size_t i = 0; i < max_pumps; ++i) {
+  const auto deadline = reply_deadline(max_pumps);
+  do {
     pump();
     if (auto reply = poll_reply(); reply.has_value()) return reply;
     if (!query_outstanding_) return std::nullopt;  // connection died, query lost
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
+  } while (wait_reply(deadline));
   abandon_query();  // else the next send_query would refuse forever
   return std::nullopt;
+}
+
+CollectorClient::Clock::time_point CollectorClient::reply_deadline(std::size_t rounds) {
+  return Clock::now() +
+         std::chrono::nanoseconds(kReplyPollPeriod.ns()) * static_cast<std::int64_t>(rounds);
+}
+
+bool CollectorClient::wait_reply(Clock::time_point deadline) {
+  const std::int64_t left =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(deadline - Clock::now()).count();
+  if (left <= 0) return false;
+  pollfd fd{stream_ != nullptr ? stream_->native_handle() : -1, POLLIN, 0};
+  if (buffered_bytes_ > 0) fd.events |= POLLOUT;
+  wait_for_io({&fd, 1}, timebase::Duration(std::min(left, kReplyPollPeriod.ns())));
+  return true;
 }
 
 void CollectorClient::abandon_query() {

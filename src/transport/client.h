@@ -23,6 +23,7 @@
 // gaps by design (an epoch gap is missing data, not corruption).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -33,6 +34,7 @@
 #include "collect/epoch_scheduler.h"
 #include "collect/estimate_record.h"
 #include "obs/instrument.h"
+#include "timebase/time.h"
 #include "transport/byte_stream.h"
 #include "transport/frame.h"
 #include "transport/messages.h"
@@ -110,11 +112,25 @@ class CollectorClient {
   [[nodiscard]] std::optional<QueryReply> poll_reply();
 
   /// Convenience loop for live (socket) deployments: send, then pump +
-  /// poll_reply up to `max_pumps` times, sleeping ~100us between rounds.
-  /// nullopt = no reply in time (the query is abandoned — see below). For
-  /// single-threaded loopback setups drive the agent yourself and use
-  /// send_query/poll_reply directly.
+  /// poll_reply, waiting up to kReplyPollPeriod for reply bytes between
+  /// rounds, until reply_deadline(max_pumps). nullopt = no reply in time
+  /// (the query is abandoned — see below). For single-threaded loopback
+  /// setups drive the agent yourself and use send_query/poll_reply directly.
   [[nodiscard]] std::optional<QueryReply> query(const Query& query, std::size_t max_pumps = 20000);
+
+  using Clock = std::chrono::steady_clock;
+  /// The longest one reply round waits when nothing else paces the loop.
+  static constexpr timebase::Duration kReplyPollPeriod = timebase::Duration::microseconds(100);
+  /// The wall-clock end of a budget of `rounds` reply rounds. Rounds end
+  /// early when reply bytes arrive, so the budget is time, not a count: a
+  /// reply spanning many reads would otherwise use the count up unfinished.
+  [[nodiscard]] static Clock::time_point reply_deadline(std::size_t rounds);
+  /// One reply round's wait: blocks until reply bytes are readable (or,
+  /// with frames queued, the stream is writable), for at most
+  /// kReplyPollPeriod and never past `deadline`. Fd-less streams and a
+  /// disconnected client sleep instead (loopback keeps its timed rounds).
+  /// Returns false, without waiting, once the deadline has passed.
+  bool wait_reply(Clock::time_point deadline);
 
   /// Gives up on the outstanding query (timeout policy lives with the
   /// caller). Drops the connection — a reply still in flight must die with

@@ -1,11 +1,9 @@
 #include "transport/coordinator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <unordered_map>
 
 namespace rlir::transport {
@@ -166,7 +164,10 @@ std::optional<QueryReply> QueryCoordinator::ask(std::size_t agent, const Query& 
   CollectorClient& c = *clients_[agent];
   c_.queries_sent->increment();
   c.send_query(query);
-  for (std::size_t round = 0; round < config_.reply_rounds; ++round) {
+  // Driven: one drive per round. Otherwise each round waits on the reply
+  // socket, and the rounds become a deadline (see reply_deadline).
+  const auto deadline = CollectorClient::reply_deadline(config_.reply_rounds);
+  for (std::size_t round = 1;; ++round) {
     c.pump();
     if (drive_) drive_();
     std::optional<QueryReply> reply;
@@ -189,7 +190,7 @@ std::optional<QueryReply> QueryCoordinator::ask(std::size_t agent, const Query& 
       c_.agent_failures->increment();
       return std::nullopt;
     }
-    if (!drive_) std::this_thread::sleep_for(std::chrono::microseconds(100));
+    if (drive_ ? round >= config_.reply_rounds : !c.wait_reply(deadline)) break;
   }
   // Reply never came: abandon (drops the connection so a late reply can't
   // mis-pair with the next fan-out's query) and report the miss.

@@ -139,7 +139,9 @@ struct QueryCoordinatorConfig {
   CollectorClientConfig client;
   /// Pump/poll rounds to wait per agent reply before declaring the agent
   /// unreachable for this fan-out. With a drive hook each round is one
-  /// drive; without one each round sleeps ~100us (socket deployments).
+  /// drive; without one (socket deployments) each round waits up to
+  /// ~100us for reply bytes and the budget is rounds x 100us of wall time
+  /// (CollectorClient::reply_deadline).
   std::size_t reply_rounds = 20000;
   /// Observability attachment (see obs/instrument.h). Agent-facing clients
   /// report into the same registry/trace under child ids "agent0", ...
@@ -162,7 +164,8 @@ class QueryCoordinator {
 
   /// Hook run between poll rounds while waiting for replies — single-thread
   /// deployments poll their agents here; socket deployments leave it unset
-  /// (the agents run their own threads/processes) and rounds sleep instead.
+  /// (the agents run their own threads/processes) and rounds wait on the
+  /// reply socket instead.
   void set_drive(std::function<void()> drive);
 
   // --- Fleet queries (each fans out to every agent and merges) ------------

@@ -8,13 +8,16 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string_view>
 #include <system_error>
+#include <thread>
 #include <utility>
 
 // send() without SIGPIPE where the platform has the flag; platforms without
@@ -130,6 +133,8 @@ class SocketStream final : public ByteStream {
       fd_ = -1;
     }
   }
+
+  [[nodiscard]] int native_handle() const override { return fd_; }
 
  private:
   int fd_;
@@ -275,6 +280,19 @@ std::unique_ptr<ByteStream> connect_to(const SocketAddress& address) {
   suppress_sigpipe(fd);
   if (address.kind == SocketAddress::Kind::kTcp) enable_nodelay(fd);
   return std::make_unique<SocketStream>(fd);
+}
+
+int wait_for_io(std::span<pollfd> fds, timebase::Duration timeout) {
+  const std::int64_t ns = std::max<std::int64_t>(timeout.ns(), 0);
+  if (std::none_of(fds.begin(), fds.end(), [](const pollfd& p) { return p.fd >= 0; })) {
+    std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
+    return 0;
+  }
+  // ppoll, not poll: a 100 us timeout must not round to 0 or 1 ms.
+  const timespec ts{static_cast<time_t>(ns / 1'000'000'000),
+                    static_cast<long>(ns % 1'000'000'000)};
+  const int ready = ::ppoll(fds.data(), fds.size(), &ts, nullptr);
+  return std::max(ready, 0);  // EINTR counts as an early wake-up
 }
 
 }  // namespace rlir::transport

@@ -8,12 +8,20 @@
 //     std::system_error (bad path, refused connection, sandboxed bind);
 //   * once connected, errors degrade to closed() — exactly how the peer
 //     dying mid-stream looks — and the client's reconnect logic takes over.
+//
+// wait_for_io is the tier's one readiness wait: the agent loop, the query
+// reply loops and the daemon block in it instead of sleeping, so a frame
+// wakes its reader as soon as it lands.
 #pragma once
+
+#include <poll.h>
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
+#include "timebase/time.h"
 #include "transport/byte_stream.h"
 
 namespace rlir::transport {
@@ -60,6 +68,9 @@ class SocketListener final : public Listener {
   /// caller asked for port 0.
   [[nodiscard]] const SocketAddress& address() const { return address_; }
 
+  /// The listening socket: readable while a connection is pending.
+  [[nodiscard]] int native_handle() const override { return fd_; }
+
  private:
   SocketAddress address_;
   int fd_ = -1;
@@ -70,5 +81,13 @@ class SocketListener final : public Listener {
 /// the client's reconnect backoff consumes). Throws std::system_error only
 /// for non-retryable local failures (e.g. socket() itself failing).
 [[nodiscard]] std::unique_ptr<ByteStream> connect_to(const SocketAddress& address);
+
+/// Blocks until one of `fds` is ready for the events it asks for (errors and
+/// hangups always count), or `timeout` passes, whichever comes first.
+/// Negative fds are skipped; with no usable fd it is a plain sleep of
+/// `timeout`, so fd-less backends (loopback pipes) keep a timed poll period.
+/// A signal may end the wait early, so callers re-check their condition.
+/// Returns the number of ready entries (0 after a timeout or a sleep).
+int wait_for_io(std::span<pollfd> fds, timebase::Duration timeout);
 
 }  // namespace rlir::transport

@@ -268,5 +268,59 @@ TEST(ConcurrentCollectorTest, QuiesceIsABarrierForConcurrentReaders) {
   expect_equal_state(serial, concurrent.snapshot(), kFlows);
 }
 
+TEST(ConcurrentCollectorTest, EpochCountMatchesSerialUnderRandomizedMultiLaneIngest) {
+  // epoch_count() is tracked as lanes first see each epoch. The records
+  // arrive in three phases, one per ingest path: per-record submits racing
+  // on two threads, batch submit, and zero-copy views; in queueless,
+  // small-queue (fallback path) and roomy-queue modes. Shared epochs 0-15
+  // go to any flow, so every lane sees them; each phase also has 20 private
+  // epochs of its own, each belonging to one flow and so seen by one lane.
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    for (const std::size_t queue_capacity : {std::size_t{0}, std::size_t{8}, std::size_t{1024}}) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " queue " << queue_capacity);
+      common::Xoshiro256 rng(seed);
+      const auto phase = [&rng](std::uint32_t first_private_epoch) {
+        std::vector<EstimateRecord> records;
+        for (int i = 0; i < 400; ++i) {
+          const bool shared = rng.next() % 2 == 0;
+          const auto epoch = static_cast<std::uint32_t>(
+              shared ? rng.next() % 16 : first_private_epoch + rng.next() % 20);
+          const auto flow = shared ? static_cast<std::uint32_t>(rng.next() % 48) : epoch;
+          records.push_back(make_record(flow, flow % 4, epoch, 30e3, rng, 4));
+        }
+        return records;
+      };
+      const auto singles = phase(16);
+      const auto batch = phase(36);
+      const auto viewed = phase(56);
+      ShardedCollector serial(CollectorConfig{4, {}});
+      ConcurrentCollectorConfig cfg;
+      cfg.shard_count = 4;
+      cfg.queue_capacity = queue_capacity;
+      ConcurrentShardedCollector concurrent(cfg);
+
+      std::thread other([&] {
+        for (std::size_t i = 1; i < singles.size(); i += 2) concurrent.submit(singles[i]);
+      });
+      for (std::size_t i = 0; i < singles.size(); i += 2) concurrent.submit(singles[i]);
+      other.join();
+      serial.ingest(singles);
+      EXPECT_EQ(concurrent.epoch_count(), serial.epoch_count());
+
+      concurrent.submit(batch);
+      serial.ingest(batch);
+      EXPECT_EQ(concurrent.epoch_count(), serial.epoch_count());
+
+      const auto wire = encode_records(viewed);
+      std::vector<RecordView> views;
+      ASSERT_EQ(decode_record_views_prefix(wire.data(), wire.size(), views), wire.size());
+      concurrent.submit_views(views);
+      serial.ingest(viewed);
+      EXPECT_EQ(concurrent.epoch_count(), serial.epoch_count());
+      EXPECT_EQ(serial.epoch_count(), 76u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rlir::collect
