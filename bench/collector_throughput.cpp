@@ -1,17 +1,14 @@
 // Collection-tier throughput baseline: how fast estimates fold into
-// sketches, how compact the wire format is, how fast the sharded collector
-// ingests record batches — and how much thread-per-shard concurrent ingest
-// buys over the single-threaded path.
+// sketches, how compact the wire format is, and how fast the sharded
+// collector ingests record batches.
 //
 // Pipeline measured (the deployment data path end to end):
 //   synthetic trace --stream--> exporter sketches --drain--> wire bytes
 //   --decode--> sharded collector --> fleet queries
-// then again with N producer threads decoding and submitting in parallel to
-// a ConcurrentShardedCollector (threads-vs-throughput sweep).
 //
 // Prints one "name value unit" row per metric. `--smoke` shrinks every
-// count so CI can run the whole harness in well under a second; `--packets`,
-// `--shards`, and `--threads` override the defaults for manual
+// count so CI can run the whole harness in well under a second; `--packets`
+// and `--shards` override the defaults for manual
 // investigation; `--json <path>` additionally dumps every metric as a flat
 // JSON object (the CI perf-trajectory artifact).
 #include <algorithm>
@@ -22,10 +19,8 @@
 #include <cstring>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "collect/concurrent_collector.h"
 #include "collect/exporter.h"
 #include "collect/history.h"
 #include "collect/sharded_collector.h"
@@ -72,41 +67,8 @@ bool write_json(const std::string& path) {
   return true;
 }
 
-/// Concurrent-ingest measurement: `threads` producers each decode and submit
-/// `epochs` epoch-batches (total records = threads x epochs x batch) into a
-/// thread-per-shard collector; the clock stops when quiesce() returns, so
-/// queued work is fully merged. Returns records/sec.
-double run_concurrent(const std::vector<std::uint8_t>& bytes, std::size_t batch_records,
-                      std::uint32_t epochs, std::size_t shard_count, std::size_t threads,
-                      std::uint64_t* fallbacks) {
-  collect::ConcurrentCollectorConfig cfg;
-  cfg.shard_count = shard_count;
-  collect::ConcurrentShardedCollector collector(cfg);
-
-  const auto start = Clock::now();
-  std::vector<std::thread> producers;
-  producers.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    producers.emplace_back([&, t] {
-      for (std::uint32_t e = 0; e < epochs; ++e) {
-        auto batch = collect::decode_records(bytes.data(), bytes.size());
-        const auto epoch = static_cast<std::uint32_t>(t * epochs + e);
-        for (auto& r : batch) r.epoch = epoch;
-        collector.submit(std::move(batch));
-      }
-    });
-  }
-  for (auto& p : producers) p.join();
-  collector.quiesce();
-  const double elapsed = seconds_since(start);
-  *fallbacks = collector.fallback_ingests();
-  const double total = static_cast<double>(batch_records) * epochs * static_cast<double>(threads);
-  return total / elapsed;
-}
-
 int run(std::uint64_t target_packets, std::size_t shard_count, std::uint32_t epochs,
-        const std::vector<std::size_t>& thread_sweep, bool history_churn,
-        const std::string& json_path) {
+        bool history_churn, const std::string& json_path) {
   // --- Stage 0: a realistic flow-skewed workload, persisted and then
   // streamed back (TraceReader::for_each keeps ingest memory flat).
   trace::SyntheticConfig trace_cfg;
@@ -299,19 +261,6 @@ int run(std::uint64_t target_packets, std::size_t shard_count, std::uint32_t epo
     print_metric("history_churn_compactions", churn_folds, "folds");
   }
 
-  // --- Stage 3b: threads-vs-throughput sweep over the concurrent collector
-  // (thread-per-shard workers; producers decode in parallel too, exactly as
-  // many networked vantage feeds would).
-  for (const std::size_t threads : thread_sweep) {
-    std::uint64_t fallbacks = 0;
-    const double rate =
-        run_concurrent(bytes, records.size(), epochs, shard_count, threads, &fallbacks);
-    const std::string suffix = "_t" + std::to_string(threads);
-    print_metric("mt_collector_rate" + suffix, rate, "records/s");
-    print_metric("mt_speedup" + suffix, rate / serial_rate, "x");
-    print_metric("mt_fallbacks" + suffix, static_cast<double>(fallbacks), "records");
-  }
-
   // --- Stage 4: query sanity + memory accounting.
   const auto fleet = collector.fleet();
   print_metric("fleet_p50", fleet.quantile(0.5) / 1e3, "us");
@@ -328,26 +277,6 @@ int run(std::uint64_t target_packets, std::size_t shard_count, std::uint32_t epo
   return 0;
 }
 
-std::vector<std::size_t> parse_threads(const char* arg) {
-  // Comma-separated list, e.g. "1,2,4". Empty/invalid/absurd entries are
-  // rejected by returning an empty vector (caller prints usage).
-  constexpr unsigned long kMaxThreads = 1024;
-  std::vector<std::size_t> out;
-  const std::string text(arg);
-  if (text.empty() || text.back() == ',') return {};
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(item.c_str(), &end, 10);
-    // The whole token must be digits ("2;4" and "4x8" are typos, not
-    // counts) and the count plausible (strtoul overflow returns ULONG_MAX).
-    if (v == 0 || v > kMaxThreads || end != item.c_str() + item.size()) return {};
-    out.push_back(v);
-  }
-  return out;
-}
-
 }  // namespace
 }  // namespace rlir
 
@@ -355,7 +284,6 @@ int main(int argc, char** argv) {
   std::uint64_t packets = 500'000;
   std::size_t shards = 8;
   std::uint32_t epochs = 4;
-  std::vector<std::size_t> thread_sweep = {1, 2, 4};
   bool history_churn = false;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
@@ -368,23 +296,17 @@ int main(int argc, char** argv) {
       packets = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
       shards = std::strtoul(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      thread_sweep = rlir::parse_threads(argv[++i]);
-      if (thread_sweep.empty()) {
-        std::fprintf(stderr, "bad --threads list (want e.g. 1,2,4)\n");
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--history] [--packets N] [--shards N] "
-                   "[--threads L1,L2,...] [--json PATH]\n"
+                   "[--json PATH]\n"
                    "  --history   shrink the history tiers so every epoch folds "
                    "(compaction churn)\n",
                    argv[0]);
       return 2;
     }
   }
-  return rlir::run(packets, shards, epochs, thread_sweep, history_churn, json_path);
+  return rlir::run(packets, shards, epochs, history_churn, json_path);
 }

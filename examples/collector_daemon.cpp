@@ -1,7 +1,8 @@
 // The shard-per-process deployment unit: a standalone collector daemon that
 // listens on a TCP or Unix-domain socket, drains framed EstimateRecord
-// batches from any number of vantage-point clients into a thread-per-shard
-// ConcurrentShardedCollector, and answers fleet queries in place.
+// batches from any number of vantage-point clients into a sharded collector
+// (merged inline on the one serve thread), and answers fleet queries in
+// place.
 //
 //   ./collector_daemon --listen unix:/tmp/rlir-collector.sock
 //   ./collector_daemon --listen tcp:127.0.0.1:9100 --shards 8
@@ -125,7 +126,7 @@ int main(int argc, char** argv) {
       std::printf("collector_daemon: slow-span log at %ld ms\n", slow_query_ms);
     }
     auto listener = std::make_unique<transport::SocketListener>(address);
-    std::printf("collector_daemon: listening on %s (%zu shards, thread-per-shard ingest)\n",
+    std::printf("collector_daemon: listening on %s (%zu shards, inline ingest)\n",
                 listener->address().to_string().c_str(), shards);
     std::fflush(stdout);
     agent.set_listener(std::move(listener));

@@ -20,7 +20,7 @@
 // quantile walk on EVERY record is the right side of the trade by orders of
 // magnitude. Consequence: queries mutate the index — the external
 // synchronization this class already requires must treat them as writes
-// (the concurrent wrapper's per-lane state lock already does).
+// (ConcurrentShardedCollector's one lock already does).
 #pragma once
 
 #include <cstdint>

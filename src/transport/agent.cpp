@@ -9,23 +9,8 @@
 
 namespace rlir::transport {
 
-namespace {
-
-/// The owned collector reports into the agent's registry/trace under the
-/// agent's own instance id (its series are named rlir_collect_*, so the
-/// shared id never collides).
-collect::ConcurrentCollectorConfig shared_obs_collector(
-    collect::ConcurrentCollectorConfig cfg, const obs::Instrumented& obs) {
-  cfg.instruments = obs.child(obs.id());
-  return cfg;
-}
-
-}  // namespace
-
 CollectorAgent::CollectorAgent(CollectorAgentConfig config)
-    : config_(config),
-      obs_(config.instruments),
-      collector_(shared_obs_collector(config.collector, obs_)) {
+    : config_(config), obs_(config.instruments), collector_(config.collector) {
   if (config_.io_chunk == 0) {
     throw std::invalid_argument("CollectorAgent: zero io_chunk");
   }
@@ -70,8 +55,17 @@ void CollectorAgent::add_connection(std::unique_ptr<ByteStream> stream) {
 
 std::size_t CollectorAgent::poll() {
   if (listener_ != nullptr) {
-    while (auto stream = listener_->accept()) add_connection(std::move(stream));
+    bool accepted = false;
+    while (auto stream = listener_->accept()) {
+      add_connection(std::move(stream));
+      accepted = true;
+    }
+    // Readable yet nothing accepted: accept() is failing with the
+    // connection still queued (EMFILE/ENFILE), and waiting on the listener
+    // again would return at once, every time.
+    listener_stalled_ = listener_readable_ && !accepted;
   }
+  listener_readable_ = false;
   std::size_t frames = 0;
   for (auto& conn : connections_) {
     if (!conn->dead) frames += service(*conn);
@@ -237,9 +231,8 @@ void CollectorAgent::handle_frame(Connection& conn, const FrameView& frame) {
           // history-enabled and plain agents and the coordinator's coverage
           // merge reports the truth.
           if (history_ == nullptr) break;
-          // The tee rides ingest, so the quiesce barrier means every record
-          // submitted before this query is in the store.
-          collector_.quiesce();
+          // The tee rides the synchronous ingest, so every record merged
+          // before this query is already in the store.
           collect::WindowCoverage cov;
           if (query.kind == QueryKind::kWindowFleet) {
             auto sketch = history_->window_fleet(query.epoch_first, query.epoch_last, &cov);
@@ -351,7 +344,11 @@ AgentStats CollectorAgent::stats() {
 
 void CollectorAgent::wait(timebase::Duration max) {
   wait_fds_.clear();
-  if (listener_ != nullptr) wait_fds_.push_back({listener_->native_handle(), POLLIN, 0});
+  // A stalled listener rides along as -1, which wait_for_io skips; with no
+  // other descriptor the wait is a plain sleep of `max`.
+  if (listener_ != nullptr) {
+    wait_fds_.push_back({listener_stalled_ ? -1 : listener_->native_handle(), POLLIN, 0});
+  }
   for (const auto& conn : connections_) {
     // POLLOUT only while replies are unsent: a writable socket is the
     // normal state, so asking for it unconditionally would never block.
@@ -360,6 +357,7 @@ void CollectorAgent::wait(timebase::Duration max) {
                          static_cast<short>(unsent ? POLLIN | POLLOUT : POLLIN), 0});
   }
   wait_for_io(wait_fds_, max);
+  listener_readable_ = listener_ != nullptr && (wait_fds_.front().revents & POLLIN) != 0;
 }
 
 void CollectorAgent::run(const std::atomic<bool>& stop, timebase::Duration idle_sleep) {

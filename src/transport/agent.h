@@ -13,7 +13,8 @@
 //   decode_record_views_prefix loop ──┘
 //        │ RecordView batches (borrowing the frame payload; docs/WIRE.md)
 //        ▼
-//   ConcurrentShardedCollector (per-lane inline merge, no materialization)
+//   ConcurrentShardedCollector (inline merge under one lock per batch, no
+//                               materialization)
 //
 // poll() is the single-threaded reactor step: accept pending connections,
 // read every readable byte, process complete frames, flush reply bytes.
@@ -23,9 +24,11 @@
 // is ready (a timed sleep for fd-less loopback pipes), and run() alternates
 // the two into a daemon loop, so a frame is served as soon as it lands.
 //
-// Threading: poll()/wait()/run() from one thread at a time. The collector
-// is thread-safe, so queries against collector() from other threads are
-// fine (they quiesce), as is wiring additional in-process producers.
+// Threading: the agent starts no threads. poll()/wait()/run() from one
+// thread at a time; ingest runs inline on that thread. The collector is
+// thread-safe and its ingest synchronous, so queries against collector()
+// from other threads see every batch poll() has merged, and additional
+// in-process producers may call submit_views() alongside.
 #pragma once
 
 #include <poll.h>
@@ -48,7 +51,7 @@ namespace rlir::transport {
 
 struct CollectorAgentConfig {
   /// The shard group this process owns.
-  collect::ConcurrentCollectorConfig collector;
+  collect::CollectorConfig collector;
   /// Per-connection read granularity per poll(). Sized to swallow a whole
   /// default-coalesce client frame in one read.
   std::size_t io_chunk = 512u << 10;
@@ -57,8 +60,8 @@ struct CollectorAgentConfig {
   /// every other allocation on the untrusted input path is bounded, and
   /// this keeps the outbox from being the exception. Must be > 0.
   std::size_t max_outbox_bytes = 8u << 20;
-  /// Observability attachment; shared with the owned collector. Null
-  /// members = the agent owns a private registry/trace.
+  /// Observability attachment. Null members = the agent owns a private
+  /// registry/trace.
   obs::Instruments instruments;
   /// Attach a history store and serve the kWindow* time-travel queries.
   /// Off by default: the store is a per-record ingest tee plus resident
@@ -78,7 +81,10 @@ class CollectorAgent {
   CollectorAgent& operator=(const CollectorAgent&) = delete;
 
   /// Accept-side hookup (socket deployment). The agent polls it for new
-  /// connections on every poll().
+  /// connections on every poll(). When the listener was readable but
+  /// accept() yielded nothing (EMFILE/ENFILE leave the connection queued,
+  /// so the fd stays readable), the next wait() leaves the listener out:
+  /// the accept is retried once per wait period instead of in a spin.
   void set_listener(std::unique_ptr<Listener> listener);
 
   /// Adopts an already-connected stream (loopback tests, in-process tiers).
@@ -101,7 +107,7 @@ class CollectorAgent {
   void run(const std::atomic<bool>& stop,
            timebase::Duration idle_sleep = timebase::Duration::milliseconds(1));
 
-  /// The shard-group state (thread-safe; queries quiesce ingest).
+  /// The shard-group state (thread-safe; ingest is synchronous).
   [[nodiscard]] collect::ConcurrentShardedCollector& collector() { return collector_; }
 
   /// The attached history store; nullptr unless config.enable_history.
@@ -143,13 +149,10 @@ class CollectorAgent {
   void flush_outbox(Connection& conn);
 
   CollectorAgentConfig config_;
-  /// Declared before collector_ so the agent's registry/trace exist when
-  /// the collector config is patched to share them.
   obs::Instrumented obs_;
-  /// Owned history store (enable_history). Declared before collector_: the
-  /// collector tees into it from worker threads, so it must be constructed
-  /// before ingest can start and destroyed only after ~collector_ has
-  /// drained and joined the workers.
+  /// Owned history store (enable_history). Declared before collector_,
+  /// which keeps a borrowed pointer to it for the ingest tee, so the store
+  /// outlives the collector.
   std::unique_ptr<collect::SketchHistoryStore> history_;
   collect::ConcurrentShardedCollector collector_;
   std::unique_ptr<Listener> listener_;
@@ -187,6 +190,11 @@ class CollectorAgent {
   /// wait()'s descriptor set, rebuilt in place each call (no allocation
   /// once it has grown to the connection count).
   std::vector<pollfd> wait_fds_;
+  /// listener_readable_: the last wait() saw the listener readable.
+  /// listener_stalled_: it was, yet the poll() after it accepted nothing,
+  /// so the next wait() leaves the listener out.
+  bool listener_readable_ = false;
+  bool listener_stalled_ = false;
 };
 
 }  // namespace rlir::transport

@@ -1,19 +1,20 @@
-// ConcurrentShardedCollector: thread-per-shard ingest must converge to
-// exactly the state a serial ShardedCollector reaches on the same records —
-// bin for bin — regardless of producer count, queue pressure (fallback
-// path), or the queueless mutex-per-shard mode. quiesce() is the barrier
-// that makes queries consistent; these tests are the TSan job's main
-// workload.
+// ConcurrentShardedCollector: zero-copy batch ingest from any number of
+// threads, with readers querying alongside, must converge to exactly the
+// state a serial ShardedCollector reaches on the same records — bin for
+// bin, epoch count included. These tests are the TSan job's main workload.
 #include "collect/concurrent_collector.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "submit_records.h"
 
 namespace rlir::collect {
 namespace {
@@ -54,6 +55,43 @@ std::vector<EstimateRecord> make_workload(std::uint64_t seed, std::uint32_t coun
   return records;
 }
 
+/// Splits `records` into wire-encoded batches of 1-32 records (random
+/// sizes); views decoded from each batch borrow its bytes.
+std::vector<std::vector<std::uint8_t>> encode_batches(const std::vector<EstimateRecord>& records,
+                                                      common::Xoshiro256& rng) {
+  std::vector<std::vector<std::uint8_t>> wires;
+  for (std::size_t i = 0; i < records.size();) {
+    const std::size_t n = std::min<std::size_t>(1 + rng.next() % 32, records.size() - i);
+    const auto first = records.begin() + static_cast<std::ptrdiff_t>(i);
+    wires.push_back(encode_records(std::vector<EstimateRecord>(first, first + n)));
+    i += n;
+  }
+  return wires;
+}
+
+/// Decodes one wire batch to views and submits them as one batch.
+void submit_wire(ConcurrentShardedCollector& collector, const std::vector<std::uint8_t>& bytes) {
+  std::vector<RecordView> views;
+  decode_record_views_prefix(bytes.data(), bytes.size(), views);
+  collector.submit_views(views);
+}
+
+/// Randomized-epoch records: shared epochs 0-15 go to any of 48 flows; the
+/// 20 private epochs from `first_private_epoch` each belong to one flow
+/// (flow id = epoch).
+std::vector<EstimateRecord> make_epoch_workload(common::Xoshiro256& rng,
+                                                std::uint32_t first_private_epoch) {
+  std::vector<EstimateRecord> records;
+  for (int i = 0; i < 400; ++i) {
+    const bool shared = rng.next() % 2 == 0;
+    const auto epoch = static_cast<std::uint32_t>(shared ? rng.next() % 16
+                                                         : first_private_epoch + rng.next() % 20);
+    const auto flow = shared ? static_cast<std::uint32_t>(rng.next() % 48) : epoch;
+    records.push_back(make_record(flow, flow % 4, epoch, 30e3, rng, 4));
+  }
+  return records;
+}
+
 /// The equivalence oracle: serial collector state vs concurrent snapshot,
 /// compared exactly (counts, per-flow bins, fleet bins, top-k ordering).
 void expect_equal_state(ShardedCollector& serial, ShardedCollector snapshot,
@@ -81,13 +119,13 @@ void expect_equal_state(ShardedCollector& serial, ShardedCollector snapshot,
 }
 
 TEST(ConcurrentCollectorTest, ZeroShardsThrows) {
-  ConcurrentCollectorConfig cfg;
+  CollectorConfig cfg;
   cfg.shard_count = 0;
   EXPECT_THROW(ConcurrentShardedCollector{cfg}, std::invalid_argument);
 }
 
 TEST(ConcurrentCollectorTest, BadTopKQuantileThrows) {
-  ConcurrentCollectorConfig cfg;
+  CollectorConfig cfg;
   cfg.top_k_quantile = 1.5;
   EXPECT_THROW(ConcurrentShardedCollector{cfg}, std::invalid_argument);
 }
@@ -99,107 +137,78 @@ TEST(ConcurrentCollectorTest, SingleProducerMatchesSerialExactly) {
   ShardedCollector serial(CollectorConfig{4, {}});
   serial.ingest(records);
 
-  ConcurrentCollectorConfig cfg;
-  cfg.shard_count = 4;
-  ConcurrentShardedCollector concurrent(cfg);
-  concurrent.submit(records);
+  ConcurrentShardedCollector concurrent(CollectorConfig{4, {}});
+  testutil::submit_records(concurrent, records);
 
   expect_equal_state(serial, concurrent.snapshot(), kFlows);
 }
 
 TEST(ConcurrentCollectorTest, ManyProducersMatchSerialExactly) {
-  constexpr std::uint32_t kFlows = 120;
-  constexpr int kProducers = 8;
-  std::vector<std::vector<EstimateRecord>> slices;
-  ShardedCollector serial(CollectorConfig{4, {}});
-  for (int p = 0; p < kProducers; ++p) {
-    slices.push_back(make_workload(100 + p, 300, kFlows));
-    serial.ingest(slices.back());
+  // Four producers submit view batches of random sizes while a reader
+  // queries. Epochs are randomized (make_epoch_workload) so the epoch
+  // count is exercised too; each producer has its own 20 private epochs.
+  constexpr int kProducers = 4;
+  constexpr std::uint32_t kFlows = 16 + 20 * kProducers;  // private flow id = its epoch
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    common::Xoshiro256 rng(seed);
+    ShardedCollector serial(CollectorConfig{4, {}});
+    // Each producer's batches, encoded up front; views borrow these bytes.
+    std::vector<std::vector<std::vector<std::uint8_t>>> wires(kProducers);
+    for (int p = 0; p < kProducers; ++p) {
+      const auto records =
+          make_epoch_workload(rng, 16 + 20 * static_cast<std::uint32_t>(p));
+      serial.ingest(records);
+      wires[p] = encode_batches(records, rng);
+    }
+
+    ConcurrentShardedCollector concurrent(CollectorConfig{4, {}});
+    std::atomic<int> running{kProducers};
+    std::vector<std::thread> producers;
+    producers.reserve(kProducers);
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&concurrent, &running, &wire = wires[p]] {
+        for (const auto& bytes : wire) submit_wire(concurrent, bytes);
+        running.fetch_sub(1);
+      });
+    }
+    std::uint64_t last_records = 0;
+    std::size_t last_epochs = 0;
+    while (running.load() > 0) {
+      const std::uint64_t n = concurrent.records_ingested();
+      const std::size_t e = concurrent.epoch_count();
+      EXPECT_GE(n, last_records);
+      EXPECT_GE(e, last_epochs);
+      last_records = n;
+      last_epochs = e;
+      (void)concurrent.fleet();
+      (void)concurrent.top_k_ranked(5, 0.99);
+      (void)concurrent.link_distributions();
+    }
+    for (auto& t : producers) t.join();
+
+    EXPECT_EQ(concurrent.epoch_count(), serial.epoch_count());
+    EXPECT_EQ(serial.epoch_count(), 16u + 20u * kProducers);
+    expect_equal_state(serial, concurrent.snapshot(), kFlows);
+    for (const LinkId link : serial.links()) {
+      EXPECT_EQ(concurrent.link_distribution(link)->bins(),
+                serial.link_distribution(link)->bins())
+          << "link " << link;
+    }
   }
-
-  ConcurrentCollectorConfig cfg;
-  cfg.shard_count = 4;
-  cfg.queue_capacity = 64;  // small enough that producers race the workers
-  ConcurrentShardedCollector concurrent(cfg);
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&concurrent, slice = slices[p]]() mutable {
-      for (auto& r : slice) concurrent.submit(std::move(r));
-    });
-  }
-  for (auto& t : producers) t.join();
-
-  expect_equal_state(serial, concurrent.snapshot(), kFlows);
-}
-
-TEST(ConcurrentCollectorTest, FullQueueTakesFallbackPathAndStaysExact) {
-  constexpr std::uint32_t kFlows = 40;
-  const auto records = make_workload(7, 600, kFlows);
-  ShardedCollector serial(CollectorConfig{2, {}});
-  serial.ingest(records);
-
-  ConcurrentCollectorConfig cfg;
-  cfg.shard_count = 2;
-  cfg.queue_capacity = 1;  // essentially every submission collides
-  ConcurrentShardedCollector concurrent(cfg);
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&concurrent, &records, p] {
-      for (std::size_t i = p; i < records.size(); i += 4) concurrent.submit(records[i]);
-    });
-  }
-  for (auto& t : producers) t.join();
-
-  EXPECT_GT(concurrent.fallback_ingests(), 0u);
-  expect_equal_state(serial, concurrent.snapshot(), kFlows);
-}
-
-TEST(ConcurrentCollectorTest, QueuelessModeIsMutexPerShardAndStaysExact) {
-  constexpr std::uint32_t kFlows = 40;
-  const auto records = make_workload(9, 500, kFlows);
-  ShardedCollector serial(CollectorConfig{4, {}});
-  serial.ingest(records);
-
-  ConcurrentCollectorConfig cfg;
-  cfg.shard_count = 4;
-  cfg.queue_capacity = 0;  // no worker threads: submit() merges inline
-  ConcurrentShardedCollector concurrent(cfg);
-  EXPECT_FALSE(concurrent.threaded());
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&concurrent, &records, p] {
-      for (std::size_t i = p; i < records.size(); i += 4) concurrent.submit(records[i]);
-    });
-  }
-  for (auto& t : producers) t.join();
-
-  EXPECT_EQ(concurrent.fallback_ingests(), 0u);
-  expect_equal_state(serial, concurrent.snapshot(), kFlows);
-}
-
-TEST(ConcurrentCollectorTest, QueriesQuiesceImplicitly) {
-  common::Xoshiro256 rng(11);
-  ConcurrentShardedCollector collector;
-  const auto record = make_record(3, 0, 0, 80e3, rng, 50);
-  collector.submit(record);
-  // No explicit quiesce: the query itself must observe the submission.
-  const auto summary = collector.flow_summary(record.key);
-  ASSERT_TRUE(summary.has_value());
-  EXPECT_EQ(summary->packets, record.sketch.count());
-  EXPECT_EQ(collector.flow_quantile(record.key, 0.5), record.sketch.quantile(0.5));
-  EXPECT_EQ(collector.records_ingested(), 1u);
 }
 
 TEST(ConcurrentCollectorTest, LinkAndFleetQueriesMergeAcrossLanes) {
   common::Xoshiro256 rng(12);
   ConcurrentShardedCollector collector;
   common::LatencySketch link0_direct, link1_direct;
+  std::vector<EstimateRecord> records;
   for (std::uint32_t i = 0; i < 30; ++i) {
     auto r = make_record(i, i % 2, 0, i % 2 == 0 ? 10e3 : 200e3, rng, 10);
     (i % 2 == 0 ? link0_direct : link1_direct).merge(r.sketch);
-    collector.submit(std::move(r));
+    records.push_back(std::move(r));
   }
+  testutil::submit_records(collector, records);
   EXPECT_EQ(collector.links(), (std::vector<LinkId>{0, 1}));
   const auto link0 = collector.link_distribution(0);
   ASSERT_TRUE(link0.has_value());
@@ -211,22 +220,29 @@ TEST(ConcurrentCollectorTest, LinkAndFleetQueriesMergeAcrossLanes) {
 }
 
 TEST(ConcurrentCollectorTest, AccuracyMismatchThrowsOnSubmittingThread) {
+  // One bad record rejects its whole batch: the good record ahead of it
+  // must not be merged either.
+  common::Xoshiro256 rng(13);
+  std::vector<EstimateRecord> batch;
+  batch.push_back(make_record(0, 0, 0, 50e3, rng));
+  EstimateRecord bad;
+  bad.key = make_key(1);
+  bad.sketch = common::LatencySketch(common::LatencySketchConfig{0.05, 128});
+  bad.sketch.add(100.0);
+  batch.push_back(std::move(bad));
+
   ConcurrentShardedCollector collector;
-  EstimateRecord r;
-  r.key = make_key(1);
-  r.sketch = common::LatencySketch(common::LatencySketchConfig{0.05, 128});
-  r.sketch.add(100.0);
-  EXPECT_THROW(collector.submit(std::move(r)), std::invalid_argument);
+  EXPECT_THROW(testutil::submit_records(collector, batch), std::invalid_argument);
   EXPECT_EQ(collector.flow_count(), 0u);
   EXPECT_EQ(collector.records_ingested(), 0u);
+  EXPECT_EQ(collector.epoch_count(), 0u);
+  EXPECT_TRUE(collector.links().empty());
 }
 
 TEST(ConcurrentCollectorTest, ShardFlowCountsCoverAllLanes) {
   const auto records = make_workload(21, 300, 80);
-  ConcurrentCollectorConfig cfg;
-  cfg.shard_count = 4;
-  ConcurrentShardedCollector collector(cfg);
-  collector.submit(records);
+  ConcurrentShardedCollector collector(CollectorConfig{4, {}});
+  testutil::submit_records(collector, records);
   const auto counts = collector.shard_flow_counts();
   ASSERT_EQ(counts.size(), 4u);
   std::size_t total = 0;
@@ -237,88 +253,83 @@ TEST(ConcurrentCollectorTest, ShardFlowCountsCoverAllLanes) {
 }
 
 TEST(ConcurrentCollectorTest, QuiesceIsABarrierForConcurrentReaders) {
-  // One writer streams records while a reader repeatedly queries; every
-  // query must see internally consistent (quiesced) state and never crash
-  // or race. The final state must be exact.
+  // Ingest is synchronous, so a returned submit_views() is itself the
+  // barrier: once the writer has published that a batch returned, every
+  // query on another thread must already count it. The reader checks that
+  // against the writer's published progress while the writer streams.
   constexpr std::uint32_t kFlows = 60;
   const auto records = make_workload(33, 1'000, kFlows);
   ShardedCollector serial(CollectorConfig{4, {}});
   serial.ingest(records);
+  common::Xoshiro256 rng(33);
+  const auto wires = encode_batches(records, rng);
+  std::vector<std::uint64_t> records_after(wires.size());  // cumulative per batch
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < wires.size(); ++i) {
+    std::vector<RecordView> views;
+    decode_record_views_prefix(wires[i].data(), wires[i].size(), views);
+    total += views.size();
+    records_after[i] = total;
+  }
 
-  ConcurrentCollectorConfig cfg;
-  cfg.shard_count = 4;
-  cfg.queue_capacity = 32;
-  ConcurrentShardedCollector concurrent(cfg);
-
-  std::atomic<bool> done{false};
+  ConcurrentShardedCollector concurrent(CollectorConfig{4, {}});
+  std::atomic<std::size_t> batches_done{0};
   std::thread writer([&] {
-    for (const auto& r : records) concurrent.submit(r);
-    done.store(true);
+    for (const auto& bytes : wires) {
+      submit_wire(concurrent, bytes);
+      batches_done.fetch_add(1);
+    }
   });
   std::uint64_t last_records = 0;
-  while (!done.load()) {
+  while (batches_done.load() < wires.size()) {
+    const std::size_t done = batches_done.load();
     const std::uint64_t n = concurrent.records_ingested();
+    if (done > 0) {
+      EXPECT_GE(n, records_after[done - 1]);
+    }
     EXPECT_GE(n, last_records);  // monotone under a single writer
     last_records = n;
     (void)concurrent.fleet();
-    (void)concurrent.top_k_flows(5, 0.99);
+    (void)concurrent.top_k_ranked(5, 0.99);
   }
   writer.join();
 
+  EXPECT_EQ(concurrent.records_ingested(), total);
   expect_equal_state(serial, concurrent.snapshot(), kFlows);
 }
 
 TEST(ConcurrentCollectorTest, EpochCountMatchesSerialUnderRandomizedMultiLaneIngest) {
-  // epoch_count() is tracked as lanes first see each epoch. The records
-  // arrive in three phases, one per ingest path: per-record submits racing
-  // on two threads, batch submit, and zero-copy views; in queueless,
-  // small-queue (fallback path) and roomy-queue modes. Shared epochs 0-15
-  // go to any flow, so every lane sees them; each phase also has 20 private
-  // epochs of its own, each belonging to one flow and so seen by one lane.
+  // epoch_count() after each of three phases, against the serial
+  // collector: two threads racing view batches, one large batch, then two
+  // threads again. Shared epochs 0-15 recur in every phase; each phase
+  // adds 20 private epochs, each belonging to one flow.
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
-    for (const std::size_t queue_capacity : {std::size_t{0}, std::size_t{8}, std::size_t{1024}}) {
-      SCOPED_TRACE(::testing::Message() << "seed " << seed << " queue " << queue_capacity);
-      common::Xoshiro256 rng(seed);
-      const auto phase = [&rng](std::uint32_t first_private_epoch) {
-        std::vector<EstimateRecord> records;
-        for (int i = 0; i < 400; ++i) {
-          const bool shared = rng.next() % 2 == 0;
-          const auto epoch = static_cast<std::uint32_t>(
-              shared ? rng.next() % 16 : first_private_epoch + rng.next() % 20);
-          const auto flow = shared ? static_cast<std::uint32_t>(rng.next() % 48) : epoch;
-          records.push_back(make_record(flow, flow % 4, epoch, 30e3, rng, 4));
-        }
-        return records;
-      };
-      const auto singles = phase(16);
-      const auto batch = phase(36);
-      const auto viewed = phase(56);
-      ShardedCollector serial(CollectorConfig{4, {}});
-      ConcurrentCollectorConfig cfg;
-      cfg.shard_count = 4;
-      cfg.queue_capacity = queue_capacity;
-      ConcurrentShardedCollector concurrent(cfg);
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    common::Xoshiro256 rng(seed);
+    ShardedCollector serial(CollectorConfig{4, {}});
+    ConcurrentShardedCollector concurrent(CollectorConfig{4, {}});
 
+    const auto race = [&](const std::vector<EstimateRecord>& records) {
+      const auto wires = encode_batches(records, rng);
       std::thread other([&] {
-        for (std::size_t i = 1; i < singles.size(); i += 2) concurrent.submit(singles[i]);
+        for (std::size_t i = 1; i < wires.size(); i += 2) submit_wire(concurrent, wires[i]);
       });
-      for (std::size_t i = 0; i < singles.size(); i += 2) concurrent.submit(singles[i]);
+      for (std::size_t i = 0; i < wires.size(); i += 2) submit_wire(concurrent, wires[i]);
       other.join();
-      serial.ingest(singles);
-      EXPECT_EQ(concurrent.epoch_count(), serial.epoch_count());
+      serial.ingest(records);
+    };
 
-      concurrent.submit(batch);
-      serial.ingest(batch);
-      EXPECT_EQ(concurrent.epoch_count(), serial.epoch_count());
+    race(make_epoch_workload(rng, 16));
+    EXPECT_EQ(concurrent.epoch_count(), serial.epoch_count());
 
-      const auto wire = encode_records(viewed);
-      std::vector<RecordView> views;
-      ASSERT_EQ(decode_record_views_prefix(wire.data(), wire.size(), views), wire.size());
-      concurrent.submit_views(views);
-      serial.ingest(viewed);
-      EXPECT_EQ(concurrent.epoch_count(), serial.epoch_count());
-      EXPECT_EQ(serial.epoch_count(), 76u);
-    }
+    const auto batch = make_epoch_workload(rng, 36);
+    testutil::submit_records(concurrent, batch);
+    serial.ingest(batch);
+    EXPECT_EQ(concurrent.epoch_count(), serial.epoch_count());
+
+    race(make_epoch_workload(rng, 56));
+    EXPECT_EQ(concurrent.epoch_count(), serial.epoch_count());
+    EXPECT_EQ(serial.epoch_count(), 76u);
   }
 }
 

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "submit_records.h"
 #include "transport/agent.h"
 #include "transport/byte_stream.h"
 
@@ -203,8 +204,8 @@ TEST(QueryCoordinator, MergesDisjointAgentsToSingleCollectorAnswers) {
   want.ingest(batch_b);
 
   AgentPair fleet;
-  fleet.agents[0]->collector().submit(batch_a);
-  fleet.agents[1]->collector().submit(batch_b);
+  testutil::submit_records(fleet.agents[0]->collector(), batch_a);
+  testutil::submit_records(fleet.agents[1]->collector(), batch_b);
 
   QueryCoordinator coord;
   fleet.attach(coord);
@@ -267,8 +268,8 @@ TEST(QueryCoordinator, FlowSplitAcrossAgentsStillAnswersExactly) {
   ASSERT_EQ(want.flow_count(), 10u);  // genuinely overlapping
 
   AgentPair fleet;
-  fleet.agents[0]->collector().submit(batch_a);
-  fleet.agents[1]->collector().submit(batch_b);
+  testutil::submit_records(fleet.agents[0]->collector(), batch_a);
+  testutil::submit_records(fleet.agents[1]->collector(), batch_b);
   QueryCoordinator coord;
   fleet.attach(coord);
 
@@ -296,7 +297,7 @@ TEST(QueryCoordinator, UnreachableAgentYieldsPartialTruth) {
   want.ingest(batch);
 
   CollectorAgent live;
-  live.collector().submit(batch);
+  testutil::submit_records(live.collector(), batch);
   QueryCoordinatorConfig cfg;
   cfg.reply_rounds = 32;  // the dead agent times out quickly
   QueryCoordinator coord(cfg);

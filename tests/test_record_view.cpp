@@ -147,15 +147,11 @@ TEST(RecordViewTest, ConcurrentSubmitViewsMatchesSubmit) {
   std::vector<RecordView> views;
   decode_record_views_prefix(bytes.data(), bytes.size(), views);
 
-  ConcurrentCollectorConfig cfg;
-  cfg.shard_count = 4;
-  ConcurrentShardedCollector from_records(cfg);
-  ConcurrentShardedCollector from_views(cfg);
-  for (const auto& r : batch) from_records.submit(r);
+  ShardedCollector from_records(CollectorConfig{4, {}});
+  from_records.ingest(batch);
+  ConcurrentShardedCollector from_views(CollectorConfig{4, {}});
   from_views.submit_views(views);
 
-  from_records.quiesce();
-  from_views.quiesce();
   for (const auto& r : batch) {
     const auto a = from_views.flow_summary(r.key);
     const auto b = from_records.flow_summary(r.key);

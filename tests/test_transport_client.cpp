@@ -115,7 +115,6 @@ TEST(TransportClient, ShedsOldestBatchWhenBufferFull) {
 
   ASSERT_TRUE(client.drain());
   agent.poll();
-  agent.collector().quiesce();
   // The SURVIVORS are the newest epochs — oldest-first shedding.
   EXPECT_EQ(agent.stats().records_ingested, 40u);
   const auto epochs = agent.collector().snapshot().epochs_seen();
@@ -146,7 +145,6 @@ TEST(TransportClient, DialFailuresBackOffThenRecover) {
 
   ASSERT_TRUE(client.drain());
   agent.poll();
-  agent.collector().quiesce();
   EXPECT_EQ(agent.stats().records_ingested, 4u);
 }
 
@@ -174,7 +172,6 @@ TEST(TransportClient, MidStreamDisconnectResendsWholeFrameAfterReconnect) {
   // BYTE on the new connection — the new decoder never sees a torn frame.
   for (int i = 0; i < 200 && !client.drain(8); ++i) agent.poll();
   agent.poll();
-  agent.collector().quiesce();
   EXPECT_EQ(client.stats().reconnects, 1u);
   EXPECT_EQ(agent.stats().records_ingested, 8u);
   EXPECT_EQ(agent.stats().protocol_errors, 0u);

@@ -1,8 +1,9 @@
 // Readiness waits on the transport tier: wait_for_io on a socketpair, an
-// agent run() loop woken by socket traffic instead of its idle timer, and
-// the reply budget of the socket-paced query loops — a deadline, so a reply
-// read in many small pieces is not cut short, while a silent peer still
-// times out after reply_rounds x 100us.
+// agent run() loop woken by socket traffic instead of its idle timer (and
+// an agent that starts no threads of its own), and the reply budget of the
+// socket-paced query loops — a deadline, so a reply read in many small
+// pieces is not cut short, while a silent peer still times out after
+// reply_rounds x 100us.
 #include "transport/socket.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,6 +24,7 @@
 
 #include "collect/estimate_record.h"
 #include "common/rng.h"
+#include "submit_records.h"
 #include "transport/agent.h"
 #include "transport/client.h"
 #include "transport/coordinator.h"
@@ -249,7 +252,7 @@ constexpr std::size_t kPiece = 32;
 
 TEST(TransportReplyBudget, ReplyReadInManyPiecesIsNotAbandoned) {
   RunningAgent running(socket_path("budget"), Duration::milliseconds(1));
-  running.agent().collector().submit(many_flows(kFlows));
+  testutil::submit_records(running.agent().collector(), many_flows(kFlows));
   std::size_t pieces = 0;
   const auto factory = [addr = running.address(), &pieces]() -> std::unique_ptr<ByteStream> {
     auto stream = connect_to(addr);
@@ -283,6 +286,28 @@ TEST(TransportReplyBudget, ReplyReadInManyPiecesIsNotAbandoned) {
   EXPECT_EQ(reply->top.size(), kFlows);
   EXPECT_EQ(client.stats().queries_lost, 0u);
   EXPECT_GT(pieces, kRounds);
+}
+
+/// Threads in this process right now.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+TEST(TransportAgent, DefaultAgentStartsNoThreads) {
+  // Ingest runs inline on the polling thread, so neither constructing an
+  // agent nor merging and querying through its collector adds a thread.
+  const std::size_t before = thread_count();
+  CollectorAgent agent;
+  EXPECT_EQ(thread_count(), before);
+  testutil::submit_records(agent.collector(), many_flows(64));
+  EXPECT_EQ(agent.stats().records_ingested, 64u);
+  EXPECT_EQ(agent.collector().top_k_ranked(5, 0.99).size(), 5u);
+  EXPECT_EQ(thread_count(), before);
 }
 
 TEST(TransportReplyBudget, SilentPeerTimesOutAfterTheRoundBudget) {
