@@ -5,13 +5,16 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "baseline/lda.h"
+#include "collect/estimate_record.h"
 #include "collect/exporter.h"
+#include "collect/history.h"
 #include "common/rng.h"
 #include "net/hash.h"
 #include "net/prefix_table.h"
@@ -292,6 +295,85 @@ void BM_RliReceiverPacket(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RliReceiverPacket);
+
+// --- History store at live_ops shape -------------------------------------
+// 64 raw epochs x 512 records (~6 bins each) over 256 flows and 6 links:
+// what the pipeline bench's live_ops agent retains in its raw tier. Window
+// queries cover the newest 8 epochs, as live_ops' window queries do.
+
+constexpr std::uint32_t kHistEpochs = 64;
+constexpr std::uint32_t kHistRecordsPerEpoch = 512;
+constexpr std::uint32_t kHistFlows = 256;
+constexpr std::uint32_t kHistLinks = 6;
+constexpr std::uint32_t kHistWindow = 8;
+
+/// One epoch's batch, encoded and decoded back to views over `wire`
+/// (epoch 0; callers re-stamp the views' epoch field).
+std::vector<collect::RecordView> history_epoch_views(std::vector<std::uint8_t>& wire) {
+  common::Xoshiro256 rng(21);
+  std::vector<net::FiveTuple> keys;
+  for (std::uint32_t f = 0; f < kHistFlows; ++f) keys.push_back(random_key(rng));
+  std::vector<collect::EstimateRecord> records;
+  for (std::uint32_t i = 0; i < kHistRecordsPerEpoch; ++i) {
+    collect::EstimateRecord r;
+    r.key = keys[i % kHistFlows];
+    r.link = i % kHistLinks;
+    r.sender = 1;
+    for (int s = 0; s < 6; ++s) r.sketch.add(20e3 * std::exp(rng.uniform(0.0, 1.5)));
+    records.push_back(std::move(r));
+  }
+  wire = collect::encode_records(records);
+  std::vector<collect::RecordView> views;
+  (void)collect::decode_record_views_prefix(wire.data(), wire.size(), views);
+  return views;
+}
+
+/// Feeds `views` as epochs [first, first + epochs).
+void feed_history(collect::SketchHistoryStore& store, std::vector<collect::RecordView>& views,
+                  std::uint32_t first, std::uint32_t epochs) {
+  for (std::uint32_t e = first; e < first + epochs; ++e) {
+    for (auto& v : views) v.epoch = e;
+    store.ingest_views(views);
+  }
+}
+
+void BM_HistoryWindowFleet(benchmark::State& state) {
+  std::vector<std::uint8_t> wire;
+  auto views = history_epoch_views(wire);
+  collect::SketchHistoryStore store;
+  feed_history(store, views, 0, kHistEpochs);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.window_fleet(kHistEpochs - kHistWindow, kHistEpochs - 1));
+  }
+}
+BENCHMARK(BM_HistoryWindowFleet);
+
+void BM_HistoryWindowFlow(benchmark::State& state) {
+  std::vector<std::uint8_t> wire;
+  auto views = history_epoch_views(wire);
+  collect::SketchHistoryStore store;
+  feed_history(store, views, 0, kHistEpochs);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& key = views[i++ % kHistFlows].key;
+    benchmark::DoNotOptimize(
+        store.window_flow_quantile(kHistEpochs - kHistWindow, kHistEpochs - 1, key, 0.99));
+  }
+}
+BENCHMARK(BM_HistoryWindowFlow);
+
+// Steady-state tee cost per record: the raw tier is full, so every epoch
+// also folds its oldest raw epoch into the mid tier.
+void BM_HistoryIngestViews(benchmark::State& state) {
+  std::vector<std::uint8_t> wire;
+  auto views = history_epoch_views(wire);
+  collect::SketchHistoryStore store;
+  feed_history(store, views, 0, kHistEpochs);
+  std::uint32_t epoch = kHistEpochs;
+  for (auto _ : state) feed_history(store, views, epoch++, 1);
+  state.SetItemsProcessed(state.iterations() * kHistRecordsPerEpoch);
+}
+BENCHMARK(BM_HistoryIngestViews);
 
 // The transport latency floor under the pipeline bench: one coordinator
 // kStats round trip over a Unix socket to an agent serving from its own

@@ -266,6 +266,27 @@ void decode_record_body_views(const std::uint8_t* data, std::size_t size,
   while (p != end) out.push_back(decode_record_view(p, end));
 }
 
+RecordBodyHead peek_record_body(const std::uint8_t* data, std::size_t size) {
+  constexpr std::size_t kFixed = kKeyedFixedSize + kSketchFixedSize;
+  if (size < kFixed) throw std::runtime_error("EstimateRecord: truncated record");
+  const std::uint8_t* p = data;
+  RecordBodyHead head;
+  head.key.src = net::Ipv4Address(take<std::uint32_t>(p));
+  head.key.dst = net::Ipv4Address(take<std::uint32_t>(p));
+  head.key.src_port = take<std::uint16_t>(p);
+  head.key.dst_port = take<std::uint16_t>(p);
+  head.key.proto = take<std::uint8_t>(p);
+  head.link = take<std::uint32_t>(p);
+  p = data + kFixed - sizeof(std::uint32_t);  // the sketch's trailing bin count
+  const auto bin_count = take<std::uint32_t>(p);
+  if (bin_count > kMaxWireBins) {
+    throw std::runtime_error("EstimateRecord: implausible bin count (corrupt input)");
+  }
+  head.size = kFixed + static_cast<std::size_t>(bin_count) * kBinSize;
+  if (size < head.size) throw std::runtime_error("EstimateRecord: truncated bins");
+  return head;
+}
+
 std::vector<std::uint8_t> encode_records(const std::vector<EstimateRecord>& records) {
   std::size_t total = kHeaderSize;
   for (const auto& r : records) total += wire_size(r);

@@ -150,6 +150,21 @@ void encode_record_body(const RecordView& record, std::uint8_t* out);
 void decode_record_body_views(const std::uint8_t* data, std::size_t size,
                               std::vector<RecordView>& out);
 
+/// The fixed-offset head of one record body: what a key-only scan of a body
+/// log reads while leaving the sketch serialized.
+struct RecordBodyHead {
+  net::FiveTuple key;
+  LinkId link = kNoLink;
+  /// Bytes the whole body occupies; the next body starts this far on.
+  std::size_t size = 0;
+};
+/// Reads the key, link and bin count of the body at the front of
+/// [data, data + size) from their fixed offsets. The sketch is not parsed or
+/// validated (decode_record_body_views does that); only the body's extent is
+/// bounds-checked, with std::runtime_error on a truncated body or an
+/// implausible bin count.
+[[nodiscard]] RecordBodyHead peek_record_body(const std::uint8_t* data, std::size_t size);
+
 // --- Sketch segment helpers ------------------------------------------------
 // The sketch portion of a record (config, moments, bins) is a format of its
 // own, reused by the transport tier's query replies to ship bare sketches.

@@ -118,6 +118,9 @@ void SketchHistoryStore::fold_oldest_raw_locked() {
     total_bytes_ += kSegmentOverhead;
   }
   Segment& dst = mid_.back();
+  // The raw epoch's link map merges whole (one merge per link); its flow
+  // map is empty, so the flows come from the log, one merge per record.
+  merge_maps_into_locked(dst, src);
   if (!src.log.empty()) {
     std::vector<RecordView> views;
     const auto cfg = compact_config();
@@ -125,12 +128,7 @@ void SketchHistoryStore::fold_oldest_raw_locked() {
       views.clear();
       decode_record_body_views(chunk.data.get(), chunk.used, views);
       for (const auto& v : views) {
-        auto [fit, f_new] = dst.flows.try_emplace(v.key, common::LatencySketch(cfg));
-        (void)f_new;
-        merge_sketch_view(fit->second, v.sketch);
-        auto [lit, l_new] = dst.links.try_emplace(v.link, common::LatencySketch(cfg));
-        (void)l_new;
-        merge_sketch_view(lit->second, v.sketch);
+        merge_sketch_view(dst.flows.try_emplace(v.key, cfg).first->second, v.sketch);
       }
     }
   }
@@ -171,14 +169,10 @@ void SketchHistoryStore::fold_oldest_mid_locked() {
 void SketchHistoryStore::merge_maps_into_locked(Segment& dst, const Segment& src) const {
   const auto cfg = compact_config();
   for (const auto& [key, sketch] : src.flows) {
-    auto [it, added] = dst.flows.try_emplace(key, common::LatencySketch(cfg));
-    (void)added;
-    it->second.merge(sketch);
+    dst.flows.try_emplace(key, cfg).first->second.merge(sketch);
   }
   for (const auto& [link, sketch] : src.links) {
-    auto [it, added] = dst.links.try_emplace(link, common::LatencySketch(cfg));
-    (void)added;
-    it->second.merge(sketch);
+    dst.links.try_emplace(link, cfg).first->second.merge(sketch);
   }
 }
 
@@ -242,86 +236,60 @@ void SketchHistoryStore::flush_cells_locked() const {
 
 namespace {
 
-/// Merges one late record into a compacted segment's maps.
-template <typename Maps, typename SketchLike, typename MergeFn>
-void late_merge(Maps& map, const SketchLike& key_or_link, common::LatencySketchConfig cfg,
-                MergeFn&& merge) {
-  auto [it, added] = map.try_emplace(key_or_link, common::LatencySketch(cfg));
-  (void)added;
-  merge(it->second);
+// One overload pair per ingest record type, so a single ingest body serves
+// owning records and zero-copy views alike.
+double accuracy_of(const EstimateRecord& r) {
+  return r.sketch.config().relative_accuracy;
+}
+double accuracy_of(const RecordView& r) { return r.sketch.relative_accuracy; }
+void merge_record(common::LatencySketch& dst, const EstimateRecord& r) {
+  dst.merge(r.sketch);
+}
+void merge_record(common::LatencySketch& dst, const RecordView& r) {
+  merge_sketch_view(dst, r.sketch);
+}
+
+template <typename Record>
+void check_accuracy(const Record& record, const common::LatencySketchConfig& cfg) {
+  if (accuracy_of(record) != cfg.relative_accuracy) {
+    throw std::invalid_argument(
+        "SketchHistoryStore::ingest: record sketch accuracy differs from history config");
+  }
 }
 
 }  // namespace
 
 void SketchHistoryStore::ingest(const EstimateRecord& record) {
-  if (record.sketch.config().relative_accuracy != config_.sketch.relative_accuracy) {
-    throw std::invalid_argument(
-        "SketchHistoryStore::ingest: record sketch accuracy differs from history config");
-  }
+  check_accuracy(record, config_.sketch);
   std::lock_guard<std::mutex> lock(mu_);
-  if (!admit_epoch_locked(record.epoch)) {
-    c_.dropped->increment();
-    return;
-  }
-  if (record.epoch >= raw_first_) {
-    Segment& seg = raw_[record.epoch - raw_first_];
-    const std::size_t added = wire_size(record);
-    encode_record_body(record, seg.log.append_raw(added));
-    seg.bytes += added;
-    total_bytes_ += added;
-    seg.records += 1;
-    records_pending_ += 1;
-    enforce_bytes_locked();
-  } else {
-    Segment* late = nullptr;
-    for (auto* tier : {&mid_, &coarse_}) {
-      auto it = std::lower_bound(
-          tier->begin(), tier->end(), record.epoch,
-          [](const Segment& s, std::uint32_t e) { return s.last < e; });
-      if (it != tier->end() && it->first <= record.epoch) {
-        late = &*it;
-        break;
-      }
-    }
-    if (late == nullptr) {
-      c_.dropped->increment();  // older than everything retained
-    } else {
-      const auto cfg = compact_config();
-      late_merge(late->flows, record.key, cfg,
-                 [&](common::LatencySketch& s) { s.merge(record.sketch); });
-      late_merge(late->links, record.link, cfg,
-                 [&](common::LatencySketch& s) { s.merge(record.sketch); });
-      late->records += 1;
-      total_bytes_ -= late->bytes;
-      late->bytes = map_segment_bytes_locked(*late);
-      total_bytes_ += late->bytes;
-      records_pending_ += 1;
-      c_.late->increment();
-      enforce_bytes_locked();
-    }
-  }
+  ingest_locked(record);
 }
 
 void SketchHistoryStore::ingest(const RecordView& record) {
-  if (record.sketch.relative_accuracy != config_.sketch.relative_accuracy) {
-    throw std::invalid_argument(
-        "SketchHistoryStore::ingest: record sketch accuracy differs from history config");
-  }
+  check_accuracy(record, config_.sketch);
   std::lock_guard<std::mutex> lock(mu_);
-  ingest_view_locked(record);
+  ingest_locked(record);
 }
 
-void SketchHistoryStore::ingest_view_locked(const RecordView& record) {
+template <typename Record>
+void SketchHistoryStore::ingest_locked(const Record& record) {
   if (!admit_epoch_locked(record.epoch)) {
     c_.dropped->increment();
     return;
   }
   if (record.epoch >= raw_first_) {
     Segment& seg = raw_[record.epoch - raw_first_];
-    const std::size_t added = wire_size(record);
-    encode_record_body(record, seg.log.append_raw(added));
-    seg.bytes += added;
-    total_bytes_ += added;
+    const std::size_t body = wire_size(record);
+    encode_record_body(record, seg.log.append_raw(body));
+    // Unbounded budget: no collapse before the fold or the answer applies
+    // its own (see the header on collapse order).
+    const common::LatencySketchConfig unbounded{config_.sketch.relative_accuracy, 0};
+    auto [link, added] = seg.links.try_emplace(record.link, unbounded);
+    const std::size_t before = added ? 0 : sizeof(LinkId) + link->second.approx_bytes();
+    merge_record(link->second, record);
+    const std::size_t after = sizeof(LinkId) + link->second.approx_bytes();
+    seg.bytes += body + after - before;
+    total_bytes_ += body + after - before;
     seg.records += 1;
     records_pending_ += 1;
     enforce_bytes_locked();
@@ -337,14 +305,12 @@ void SketchHistoryStore::ingest_view_locked(const RecordView& record) {
     }
   }
   if (late == nullptr) {
-    c_.dropped->increment();
+    c_.dropped->increment();  // older than everything retained
     return;
   }
   const auto cfg = compact_config();
-  late_merge(late->flows, record.key, cfg,
-             [&](common::LatencySketch& s) { merge_sketch_view(s, record.sketch); });
-  late_merge(late->links, record.link, cfg,
-             [&](common::LatencySketch& s) { merge_sketch_view(s, record.sketch); });
+  merge_record(late->flows.try_emplace(record.key, cfg).first->second, record);
+  merge_record(late->links.try_emplace(record.link, cfg).first->second, record);
   late->records += 1;
   total_bytes_ -= late->bytes;
   late->bytes = map_segment_bytes_locked(*late);
@@ -355,14 +321,9 @@ void SketchHistoryStore::ingest_view_locked(const RecordView& record) {
 }
 
 void SketchHistoryStore::ingest_views(const std::vector<RecordView>& batch) {
-  for (const auto& record : batch) {
-    if (record.sketch.relative_accuracy != config_.sketch.relative_accuracy) {
-      throw std::invalid_argument(
-          "SketchHistoryStore::ingest: record sketch accuracy differs from history config");
-    }
-  }
+  for (const auto& record : batch) check_accuracy(record, config_.sketch);
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& record : batch) ingest_view_locked(record);
+  for (const auto& record : batch) ingest_locked(record);
   flush_cells_locked();
 }
 
@@ -383,7 +344,7 @@ WindowCoverage SketchHistoryStore::for_each_covering_locked(std::uint32_t first,
   cov.requested_last = last;
   if (!any_) return cov;
 
-  const auto visit = [&](const Segment& seg, bool raw_tier) {
+  const auto visit = [&](const Segment& seg) {
     if (seg.last < first || seg.first > last) return;
     if (!cov.covered) {
       cov.covered = true;
@@ -394,7 +355,7 @@ WindowCoverage SketchHistoryStore::for_each_covering_locked(std::uint32_t first,
       cov.covered_last = std::max(cov.covered_last, seg.last);
     }
     cov.records += seg.records;
-    fn(seg, raw_tier);
+    fn(seg);
   };
 
   for (const auto* tier : {&coarse_, &mid_}) {
@@ -402,18 +363,37 @@ WindowCoverage SketchHistoryStore::for_each_covering_locked(std::uint32_t first,
     // segments actually covered.
     auto it = std::lower_bound(tier->begin(), tier->end(), first,
                                [](const Segment& s, std::uint32_t e) { return s.last < e; });
-    for (; it != tier->end() && it->first <= last; ++it) visit(*it, false);
+    for (; it != tier->end() && it->first <= last; ++it) visit(*it);
   }
   if (!raw_.empty() && last >= raw_first_) {
     const std::uint32_t lo = std::max(first, raw_first_);
     const std::uint32_t hi =
         std::min<std::uint64_t>(last, raw_first_ + (raw_.size() - 1));
-    for (std::uint32_t e = lo; e <= hi; ++e) visit(raw_[e - raw_first_], true);
+    for (std::uint32_t e = lo; e <= hi; ++e) visit(raw_[e - raw_first_]);
   }
 
   cov.complete = cov.covered && first >= oldest_retained_locked() && last <= last_seen_;
   return cov;
 }
+
+namespace {
+
+/// Key-only walk of a raw epoch's body log: `fn(head, body)` per record,
+/// with the sketch left serialized.
+template <typename Log, typename Fn>
+void scan_log(const Log& log, Fn&& fn) {
+  for (const auto& chunk : log.chunks()) {
+    const std::uint8_t* p = chunk.data.get();
+    const std::uint8_t* const end = p + chunk.used;
+    while (p != end) {
+      const RecordBodyHead head = peek_record_body(p, static_cast<std::size_t>(end - p));
+      fn(head, p);
+      p += head.size;
+    }
+  }
+}
+
+}  // namespace
 
 std::optional<common::LatencySketch> SketchHistoryStore::window_flow(
     std::uint32_t epoch_first, std::uint32_t epoch_last, const net::FiveTuple& key,
@@ -423,26 +403,21 @@ std::optional<common::LatencySketch> SketchHistoryStore::window_flow(
   std::lock_guard<std::mutex> lock(mu_);
   common::LatencySketch out(config_.sketch);
   bool found = false;
-  std::vector<RecordView> scratch;
-  const auto cov = for_each_covering_locked(
-      epoch_first, epoch_last, [&](const Segment& seg, bool raw_tier) {
-        if (raw_tier) {
-          if (seg.log.empty()) return;
-          scratch.clear();
-          for (const auto& chunk : seg.log.chunks()) {
-            decode_record_body_views(chunk.data.get(), chunk.used, scratch);
-          }
-          for (const auto& v : scratch) {
-            if (!(v.key == key)) continue;
-            merge_sketch_view(out, v.sketch);
-            found = true;
-          }
-        } else {
-          const auto it = seg.flows.find(key);
-          if (it == seg.flows.end()) return;
-          out.merge(it->second);
+  std::vector<RecordView> match;
+  const auto cov =
+      for_each_covering_locked(epoch_first, epoch_last, [&](const Segment& seg) {
+        // A raw epoch has only its log; a compacted segment only its flow map.
+        scan_log(seg.log, [&](const RecordBodyHead& head, const std::uint8_t* body) {
+          if (!(head.key == key)) return;
+          match.clear();
+          decode_record_body_views(body, head.size, match);
+          merge_sketch_view(out, match.front().sketch);
           found = true;
-        }
+        });
+        const auto it = seg.flows.find(key);
+        if (it == seg.flows.end()) return;
+        out.merge(it->second);
+        found = true;
       });
   if (coverage != nullptr) *coverage = cov;
   if (!found) return std::nullopt;
@@ -465,26 +440,12 @@ std::optional<common::LatencySketch> SketchHistoryStore::window_link(
   std::lock_guard<std::mutex> lock(mu_);
   common::LatencySketch out(config_.sketch);
   bool found = false;
-  std::vector<RecordView> scratch;
-  const auto cov = for_each_covering_locked(
-      epoch_first, epoch_last, [&](const Segment& seg, bool raw_tier) {
-        if (raw_tier) {
-          if (seg.log.empty()) return;
-          scratch.clear();
-          for (const auto& chunk : seg.log.chunks()) {
-            decode_record_body_views(chunk.data.get(), chunk.used, scratch);
-          }
-          for (const auto& v : scratch) {
-            if (v.link != link) continue;
-            merge_sketch_view(out, v.sketch);
-            found = true;
-          }
-        } else {
-          const auto it = seg.links.find(link);
-          if (it == seg.links.end()) return;
-          out.merge(it->second);
-          found = true;
-        }
+  const auto cov =
+      for_each_covering_locked(epoch_first, epoch_last, [&](const Segment& seg) {
+        const auto it = seg.links.find(link);
+        if (it == seg.links.end()) return;
+        out.merge(it->second);
+        found = true;
       });
   if (coverage != nullptr) *coverage = cov;
   if (!found) return std::nullopt;
@@ -498,24 +459,14 @@ common::LatencySketch SketchHistoryStore::window_fleet(std::uint32_t epoch_first
   obs::SpanTimer span(obs_.spans(), obs::SpanKind::kHistoryWindow, {}, "fleet");
   std::lock_guard<std::mutex> lock(mu_);
   common::LatencySketch out(config_.sketch);
-  std::vector<RecordView> scratch;
-  const auto cov = for_each_covering_locked(
-      epoch_first, epoch_last, [&](const Segment& seg, bool raw_tier) {
-        if (raw_tier) {
-          if (seg.log.empty()) return;
-          scratch.clear();
-          for (const auto& chunk : seg.log.chunks()) {
-            decode_record_body_views(chunk.data.get(), chunk.used, scratch);
-          }
-          for (const auto& v : scratch) merge_sketch_view(out, v.sketch);
-        } else {
-          // Every record lands in exactly one link aggregate, so the union
-          // over links equals the union over records (the collector's
-          // fleet() uses the same identity).
-          for (const auto& [link, sketch] : seg.links) {
-            (void)link;
-            out.merge(sketch);
-          }
+  const auto cov =
+      for_each_covering_locked(epoch_first, epoch_last, [&](const Segment& seg) {
+        // Every record lands in exactly one link aggregate, so the union over
+        // links equals the union over records (the collector's fleet() uses the
+        // same identity).
+        for (const auto& [link, sketch] : seg.links) {
+          (void)link;
+          out.merge(sketch);
         }
       });
   if (coverage != nullptr) *coverage = cov;
@@ -527,20 +478,13 @@ std::vector<net::FiveTuple> SketchHistoryStore::window_flows(std::uint32_t epoch
   if (epoch_first > epoch_last) std::swap(epoch_first, epoch_last);
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<net::FiveTuple> keys;
-  std::vector<RecordView> scratch;
-  for_each_covering_locked(epoch_first, epoch_last, [&](const Segment& seg, bool raw_tier) {
-    if (raw_tier) {
-      if (seg.log.empty()) return;
-      scratch.clear();
-      for (const auto& chunk : seg.log.chunks()) {
-        decode_record_body_views(chunk.data.get(), chunk.used, scratch);
-      }
-      for (const auto& v : scratch) keys.push_back(v.key);
-    } else {
-      for (const auto& [key, sketch] : seg.flows) {
-        (void)sketch;
-        keys.push_back(key);
-      }
+  for_each_covering_locked(epoch_first, epoch_last, [&](const Segment& seg) {
+    scan_log(seg.log, [&](const RecordBodyHead& head, const std::uint8_t*) {
+      keys.push_back(head.key);
+    });
+    for (const auto& [key, sketch] : seg.flows) {
+      (void)sketch;
+      keys.push_back(key);
     }
   });
   std::sort(keys.begin(), keys.end());
@@ -553,25 +497,9 @@ std::vector<std::pair<LinkId, common::LatencySketch>> SketchHistoryStore::window
   if (epoch_first > epoch_last) std::swap(epoch_first, epoch_last);
   std::lock_guard<std::mutex> lock(mu_);
   std::map<LinkId, common::LatencySketch> merged;
-  std::vector<RecordView> scratch;
-  for_each_covering_locked(epoch_first, epoch_last, [&](const Segment& seg, bool raw_tier) {
-    if (raw_tier) {
-      if (seg.log.empty()) return;
-      scratch.clear();
-      for (const auto& chunk : seg.log.chunks()) {
-        decode_record_body_views(chunk.data.get(), chunk.used, scratch);
-      }
-      for (const auto& v : scratch) {
-        auto [it, added] = merged.try_emplace(v.link, config_.sketch);
-        (void)added;
-        merge_sketch_view(it->second, v.sketch);
-      }
-    } else {
-      for (const auto& [link, sketch] : seg.links) {
-        auto [it, added] = merged.try_emplace(link, config_.sketch);
-        (void)added;
-        it->second.merge(sketch);
-      }
+  for_each_covering_locked(epoch_first, epoch_last, [&](const Segment& seg) {
+    for (const auto& [link, sketch] : seg.links) {
+      merged.try_emplace(link, config_.sketch).first->second.merge(sketch);
     }
   });
   return {merged.begin(), merged.end()};

@@ -11,7 +11,7 @@
 //
 //   * tiered epoch compaction: the newest `raw_epochs` epochs are kept as
 //     raw record logs (append-only byte vectors of self-delimiting record
-//     bodies — the cheapest possible ingest tee); older epochs fold into
+//     bodies) plus a per-link merged sketch map; older epochs fold into
 //     mid-tier segments of `mid_window` epochs (per-flow/per-link merged
 //     sketch maps), which in turn fold into coarse segments of
 //     `coarse_window` epochs; the oldest coarse segments evict. Retained
@@ -28,16 +28,27 @@
 // Query semantics: a window query visits every retained segment that
 // intersects [e1, e2] — O(log E) to locate the first (binary search over
 // the sorted segment deques; raw epochs index arithmetically) — and merges
-// their deltas bin-for-bin. Compacted segments snap coverage OUTWARD: a
+// their deltas bin-for-bin. Every segment, raw or compacted, carries its
+// per-link map, so link and fleet answers (a fleet is the union over links)
+// cost O(segments x links), never O(records). Flow answers over a raw epoch
+// read each logged body's key at its fixed offset and decode only the
+// bodies that match. Compacted segments snap coverage OUTWARD: a
 // window edge falling inside an 8-epoch segment includes the whole segment
 // (the per-epoch split no longer exists). The WindowCoverage out-param
 // reports what was actually merged, so `query(window) == merge of the
 // covered epochs' deltas, bin for bin` — the exactness contract the
 // property tests assert.
 //
+// Raw-epoch link sketches have no bin budget: their bins are a subset of
+// the logged bins, so the log already bounds them. Fold-lowest collapse
+// keeps the top-N bins of a union whatever the merge order, so with no
+// earlier collapse every answer and every compacted segment stays bin for
+// bin what merging the records one by one gives (only `sum` may differ in
+// its last bits: floating-point addition order).
+//
 // Thread-safety: all methods are safe to call concurrently (one internal
 // mutex). Ingest is designed as a tee riding the collector hot path: one
-// lock, one body append (~bytes memcpy), no sketch merge.
+// lock, one body append (~bytes memcpy) and one link-sketch merge.
 #pragma once
 
 #include <algorithm>
@@ -118,14 +129,14 @@ class SketchHistoryStore {
 
   // --- Ingest (the collector tee) -----------------------------------------
 
-  /// Appends one record to its epoch's raw log. While nothing has ever been
-  /// folded or evicted, the raw window also grows BACKWARDS to admit epochs
-  /// below the first-seen one (flow-hash spray delivers each agent a
-  /// different first record) — so partitioned stores converge on the same
-  /// retained range. Records older than the retained range are dropped
-  /// (counted); records landing in an already compacted segment merge into
-  /// its maps (counted as late). Throws std::invalid_argument on a
-  /// relative-accuracy mismatch.
+  /// Appends one record to its epoch's raw log and merges its sketch into
+  /// that epoch's link map. While nothing has ever been folded or evicted,
+  /// the raw window also grows BACKWARDS to admit epochs below the
+  /// first-seen one (flow-hash spray delivers each agent a different first
+  /// record) — so partitioned stores converge on the same retained range.
+  /// Records older than the retained range are dropped (counted); records
+  /// landing in an already compacted segment merge into its maps (counted
+  /// as late). Throws std::invalid_argument on a relative-accuracy mismatch.
   void ingest(const EstimateRecord& record);
   void ingest(const RecordView& record);
   /// Batch tee: one lock for the whole batch.
@@ -167,8 +178,8 @@ class SketchHistoryStore {
 
   // --- Accounting ----------------------------------------------------------
 
-  /// Accounted footprint (raw log bytes + compacted sketch bytes + fixed
-  /// per-segment overhead) — the quantity max_bytes bounds, also exported
+  /// Accounted footprint (raw log bytes + every segment's sketch bytes +
+  /// fixed per-segment overhead) — the quantity max_bytes bounds, also exported
   /// as the rlir_history_bytes gauge.
   [[nodiscard]] std::size_t approx_bytes() const;
   /// Retained epoch span (contiguous); 0 before the first epoch.
@@ -239,9 +250,11 @@ class SketchHistoryStore {
     std::size_t size_ = 0;
   };
 
-  /// One retained slice of history. Raw tier: first == last and the records
-  /// live in `log` (appended bodies). Compacted tiers: [first, last] spans
-  /// a window and the records live pre-merged in the flow/link maps.
+  /// One retained slice of history. Raw tier: first == last, the records
+  /// live in `log` (appended bodies) and pre-merged per link in `links`
+  /// (unbounded sketches); `flows` stays empty. Compacted tiers: [first,
+  /// last] spans a window, `log` stays empty and the records live
+  /// pre-merged in the flow/link maps.
   struct Segment {
     std::uint32_t first = 0;
     std::uint32_t last = 0;
@@ -257,9 +270,11 @@ class SketchHistoryStore {
   /// True if the record's epoch was admitted (time advanced as needed);
   /// false = rejected jump (counted by the caller).
   bool admit_epoch_locked(std::uint32_t epoch);
-  /// The per-record ingest body shared by the scalar and batch view paths
-  /// (the scalar one is the collector tee's hot path — no allocations).
-  void ingest_view_locked(const RecordView& record);
+  /// The per-record ingest body shared by every ingest overload (the scalar
+  /// view one is the collector tee's hot path). `Record` is EstimateRecord
+  /// or RecordView.
+  template <typename Record>
+  void ingest_locked(const Record& record);
   void fold_oldest_raw_locked();
   void fold_oldest_mid_locked();
   void merge_maps_into_locked(Segment& dst, const Segment& src) const;
@@ -273,7 +288,7 @@ class SketchHistoryStore {
   [[nodiscard]] std::size_t map_segment_bytes_locked(const Segment& seg) const;
   [[nodiscard]] std::uint32_t oldest_retained_locked() const;
   /// Visits every retained segment intersecting [first, last], oldest tier
-  /// first, accumulating coverage. `fn(segment, is_raw)`.
+  /// first, accumulating coverage. `fn(segment)`.
   template <typename Fn>
   WindowCoverage for_each_covering_locked(std::uint32_t first, std::uint32_t last,
                                           Fn&& fn) const;

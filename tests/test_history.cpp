@@ -13,10 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -396,6 +399,281 @@ TEST(HistoryStoreTest, MemoryStaysBoundedAcrossThousandEpochs) {
   EXPECT_EQ(bytes_gauge, static_cast<std::int64_t>(store.approx_bytes()));
   EXPECT_EQ(epochs_gauge, static_cast<std::int64_t>(store.epochs_retained()));
   EXPECT_EQ(records_counter, ingested);
+}
+
+/// Two answers compared field by field; `sum` exactly, because both sides
+/// merged the same sketches in the same order.
+void expect_same_sketch(const common::LatencySketch& a, const common::LatencySketch& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.bins(), b.bins()) << what;
+  EXPECT_EQ(a.count(), b.count()) << what;
+  EXPECT_EQ(a.zero_count(), b.zero_count()) << what;
+  EXPECT_EQ(a.sum(), b.sum()) << what;
+}
+
+// The owning ingest overload and the view path share one ingest body: fed
+// the same records (raw, late into a compacted segment, and backward
+// growth), two stores answer identically and account the same bytes.
+TEST(HistoryStoreTest, OwningAndViewIngestAgree) {
+  HistoryConfig cfg;
+  cfg.raw_epochs = 4;
+  cfg.mid_window = 2;
+  cfg.mid_segments = 3;
+  cfg.coarse_window = 4;
+  cfg.coarse_segments = 4;
+  cfg.retained_max_bins = 8;
+  SketchHistoryStore owning(cfg);
+  SketchHistoryStore viewing(cfg);
+
+  common::Xoshiro256 rng(31);
+  std::vector<EstimateRecord> records;
+  for (const std::uint32_t epoch : {6u, 4u, 5u}) {  // backward growth first
+    records.push_back(make_record(epoch, epoch, epoch % 3, rng));
+  }
+  for (std::uint32_t epoch = 6; epoch < 24; ++epoch) {
+    for (int i = 0; i < 6; ++i) {
+      records.push_back(make_record(epoch, static_cast<std::uint32_t>(i * 3 + epoch) % 9,
+                                    static_cast<LinkId>(i % 3), rng));
+    }
+  }
+  records.push_back(make_record(9, 2, 1, rng));   // late: compacted by now
+  records.push_back(make_record(21, 4, 2, rng));  // late into a raw epoch
+
+  for (const auto& r : records) owning.ingest(r);
+  const auto wire = encode_records(records);
+  std::vector<RecordView> views;
+  (void)decode_record_views_prefix(wire.data(), wire.size(), views);
+  viewing.ingest_views(views);
+
+  ASSERT_GT(owning.late_records(), 0u);
+  EXPECT_EQ(owning.late_records(), viewing.late_records());
+  EXPECT_EQ(owning.records_ingested(), viewing.records_ingested());
+  EXPECT_EQ(owning.approx_bytes(), viewing.approx_bytes());
+  for (const auto& [lo, hi] : std::vector<std::pair<std::uint32_t, std::uint32_t>>{
+           {0, 30}, {20, 23}, {21, 21}, {8, 11}, {4, 17}}) {
+    const std::string w = "[" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    expect_same_sketch(owning.window_fleet(lo, hi), viewing.window_fleet(lo, hi),
+                       "fleet " + w);
+    for (LinkId link = 0; link < 3; ++link) {
+      const auto a = owning.window_link(lo, hi, link);
+      const auto b = viewing.window_link(lo, hi, link);
+      ASSERT_EQ(a.has_value(), b.has_value()) << "link " << link << " " << w;
+      if (a.has_value()) expect_same_sketch(*a, *b, "link " + w);
+    }
+    for (std::uint32_t flow = 0; flow < 9; ++flow) {
+      const auto a = owning.window_flow(lo, hi, flow_key(flow));
+      const auto b = viewing.window_flow(lo, hi, flow_key(flow));
+      ASSERT_EQ(a.has_value(), b.has_value()) << "flow " << flow << " " << w;
+      if (a.has_value()) expect_same_sketch(*a, *b, "flow " + w);
+    }
+  }
+}
+
+/// A record whose sketch spans `bins` distinct bins, all inside a honest
+/// producer budget of `max_bins` (values spread far apart on the log scale).
+EstimateRecord wide_record(std::uint32_t epoch, std::uint32_t flow, LinkId link,
+                           std::size_t max_bins, int bins, common::Xoshiro256& rng) {
+  EstimateRecord r;
+  r.key = flow_key(flow);
+  r.link = link;
+  r.epoch = epoch;
+  r.sketch = common::LatencySketch({0.01, max_bins});
+  for (int b = 0; b < bins; ++b) r.sketch.add(1e3 * std::exp(rng.uniform(0.0, 9.0)));
+  return r;
+}
+
+// Raw-epoch link sketches must collapse no earlier than both budgets:
+// answers and compacted segments stay what merging the records one by one
+// gives, with retained_max_bins on either side of the producer budget and
+// windows whose union spans far more bins than either.
+TEST(HistoryStoreTest, LinkMapsCollapseLikeRecordByRecordMerge) {
+  constexpr std::size_t kProducerBins = 16;
+  for (const std::size_t retained : {std::size_t{6}, std::size_t{40}}) {
+    SCOPED_TRACE("retained_max_bins " + std::to_string(retained));
+    HistoryConfig cfg;
+    cfg.raw_epochs = 4;
+    cfg.mid_window = 4;
+    cfg.mid_segments = 64;  // no coarse tier: every compacted segment is a mid one
+    cfg.coarse_window = 4;
+    cfg.retained_max_bins = retained;
+    cfg.sketch.max_bins = kProducerBins;
+    SketchHistoryStore store(cfg);
+    const common::LatencySketchConfig producer{0.01, kProducerBins};
+    const common::LatencySketchConfig compact{0.01, retained};
+
+    constexpr std::uint32_t kEpochs = 16;
+    constexpr LinkId kLinks = 3;
+    common::Xoshiro256 rng(41);
+    EpochRecords model;
+    for (std::uint32_t epoch = 0; epoch < kEpochs; ++epoch) {
+      for (std::uint32_t i = 0; i < 9; ++i) {
+        auto r = wide_record(epoch, i % 4, static_cast<LinkId>(i % kLinks), kProducerBins,
+                             12, rng);
+        model[epoch].push_back(r);
+        store.ingest(r);
+      }
+    }
+    ASSERT_EQ(*store.first_retained_epoch(), 0u);
+
+    // Reference: the records merged one by one into the answer's budget
+    // (raw epochs), or first into a retained-budget sketch per compacted
+    // segment and link, then into the answer (what the fold produced when
+    // it merged record by record).
+    const auto reference = [&](std::uint32_t lo, std::uint32_t hi, bool compacted,
+                               const std::function<bool(LinkId)>& want_link) {
+      common::LatencySketch out(producer);
+      for (LinkId link = 0; link < kLinks; ++link) {
+        if (!want_link(link)) continue;
+        common::LatencySketch seg(compacted ? compact : common::LatencySketchConfig{0.01, 0});
+        for (auto it = model.lower_bound(lo); it != model.end() && it->first <= hi; ++it) {
+          for (const auto& r : it->second) {
+            if (r.link == link) seg.merge(r.sketch);
+          }
+        }
+        out.merge(seg);
+      }
+      return out;
+    };
+    struct Window {
+      std::uint32_t lo, hi;
+      bool compacted;
+    };
+    for (const Window w : {Window{0, 3, true}, Window{4, 7, true}, Window{8, 11, true},
+                           Window{12, 15, false}, Window{13, 13, false}}) {
+      const std::string what = "[" + std::to_string(w.lo) + ", " + std::to_string(w.hi) + "]";
+      const auto fleet = store.window_fleet(w.lo, w.hi);
+      const auto want_fleet = reference(w.lo, w.hi, w.compacted, [](LinkId) { return true; });
+      ASSERT_GT(direct_merge(model, w.lo, w.hi, [](const EstimateRecord&) { return true; })
+                    .bin_count(),
+                std::max(kProducerBins, retained))
+          << "the window's records never overflowed a budget";
+      EXPECT_EQ(fleet.bins(), want_fleet.bins()) << "fleet " << what;
+      EXPECT_EQ(fleet.count(), want_fleet.count()) << "fleet " << what;
+      for (LinkId link = 0; link < kLinks; ++link) {
+        const auto got = store.window_link(w.lo, w.hi, link);
+        ASSERT_TRUE(got.has_value());
+        const auto want =
+            reference(w.lo, w.hi, w.compacted, [link](LinkId l) { return l == link; });
+        EXPECT_EQ(got->bins(), want.bins()) << "link " << link << " " << what;
+        EXPECT_EQ(got->count(), want.count()) << "link " << link << " " << what;
+      }
+      if (!w.compacted) {
+        // Raw answers are the plain direct merge into the answer's budget.
+        const auto direct =
+            direct_merge(model, w.lo, w.hi, [](const EstimateRecord&) { return true; });
+        common::LatencySketch want(producer);
+        want.merge(direct);
+        EXPECT_EQ(fleet.bins(), want.bins()) << "fleet " << what;
+      }
+    }
+  }
+}
+
+// A window query reads raw epochs without caching them: a record arriving
+// for an epoch that was already answered (late, but still raw — including
+// one that grows the raw window backwards) shows up in the next answer.
+TEST(HistoryStoreTest, LateRawRecordAfterQueryStillCounts) {
+  SketchHistoryStore store;
+  common::Xoshiro256 rng(43);
+  EpochRecords model;
+  const auto feed = [&](std::uint32_t epoch, std::uint32_t flow, LinkId link) {
+    auto r = make_record(epoch, flow, link, rng);
+    model[epoch].push_back(r);
+    store.ingest(r);
+  };
+  for (std::uint32_t epoch = 3; epoch < 8; ++epoch) feed(epoch, epoch, epoch % 2);
+
+  const auto check = [&](std::uint32_t lo, std::uint32_t hi, const std::string& when) {
+    const auto all = [](const EstimateRecord&) { return true; };
+    const auto fleet = store.window_fleet(lo, hi);
+    EXPECT_EQ(fleet.bins(), direct_merge(model, lo, hi, all).bins()) << when;
+    EXPECT_EQ(fleet.count(), direct_merge(model, lo, hi, all).count()) << when;
+    for (LinkId link = 0; link < 2; ++link) {
+      const auto got = store.window_link(lo, hi, link);
+      const auto want = direct_merge(model, lo, hi,
+                                     [link](const EstimateRecord& r) { return r.link == link; });
+      ASSERT_EQ(got.has_value(), !want.empty()) << when << " link " << link;
+      if (got.has_value()) {
+        EXPECT_EQ(got->bins(), want.bins()) << when << " link " << link;
+      }
+    }
+    for (std::uint32_t flow = 0; flow < 8; ++flow) {
+      const auto got = store.window_flow(lo, hi, flow_key(flow));
+      const auto want = direct_merge(
+          model, lo, hi, [&](const EstimateRecord& r) { return r.key == flow_key(flow); });
+      ASSERT_EQ(got.has_value(), !want.empty()) << when << " flow " << flow;
+      if (got.has_value()) {
+        EXPECT_EQ(got->bins(), want.bins()) << when << " flow " << flow;
+      }
+    }
+  };
+  check(4, 4, "before");
+  check(0, 7, "before");
+  feed(4, 4, 1);  // same epoch, same flow, other link
+  feed(4, 6, 0);  // same epoch, new flow
+  feed(1, 1, 1);  // below the first-seen epoch: the raw window grows back
+  EXPECT_EQ(store.late_records(), 0u);
+  check(4, 4, "after");
+  check(1, 1, "after");
+  check(0, 7, "after");
+  EXPECT_EQ(store.window_flows(0, 7).size(), 6u);  // flows 1, 3..7
+}
+
+// The key-only log scan: keys that differ only in a port or the protocol
+// stay apart, zero-bin records (zero_count only) are found, and records on
+// either side of a 64 KiB log-chunk boundary are all read.
+TEST(HistoryStoreTest, KeyScanEdgeCases) {
+  SketchHistoryStore store;
+  common::Xoshiro256 rng(47);
+  EpochRecords model;
+  const auto feed = [&](EstimateRecord r) {
+    model[r.epoch].push_back(r);
+    store.ingest(r);
+  };
+
+  std::vector<net::FiveTuple> twins(4, flow_key(7));
+  twins[1].src_port += 1;
+  twins[2].dst_port += 1;
+  twins[3].proto = static_cast<std::uint8_t>(net::IpProto::kTcp);
+  for (std::size_t i = 0; i < twins.size(); ++i) {
+    auto r = make_record(0, 7, 0, rng);
+    r.key = twins[i];
+    for (std::size_t extra = 0; extra < i; ++extra) r.sketch.add(1e6);
+    feed(r);
+  }
+  EstimateRecord zero;  // zero bin only: no serialized bins at all
+  zero.key = flow_key(900);
+  zero.link = 1;
+  zero.epoch = 0;
+  zero.sketch.add(0.0, 3);
+  ASSERT_EQ(zero.sketch.bin_count(), 0u);
+  feed(zero);
+
+  // One epoch's log well past one 64 KiB chunk (~140 bytes per record).
+  constexpr std::uint32_t kMany = 1600;
+  for (std::uint32_t f = 0; f < kMany; ++f) feed(make_record(1, 1000 + f, f % 3, rng));
+  std::uint64_t log_bytes = 0;
+  for (const auto& r : model[1]) log_bytes += wire_size(r);
+  ASSERT_GT(log_bytes, 2u * (64u << 10)) << "the epoch never crossed a chunk boundary";
+
+  std::vector<net::FiveTuple> want_keys;
+  for (const auto& [epoch, records] : model) {
+    for (const auto& r : records) {
+      const auto got = store.window_flow(0, 1, r.key);
+      const auto want =
+          direct_merge(model, 0, 1, [&](const EstimateRecord& m) { return m.key == r.key; });
+      ASSERT_TRUE(got.has_value()) << "epoch " << epoch;
+      EXPECT_EQ(got->bins(), want.bins()) << "epoch " << epoch;
+      EXPECT_EQ(got->count(), want.count()) << "epoch " << epoch;
+      EXPECT_EQ(got->zero_count(), want.zero_count()) << "epoch " << epoch;
+      want_keys.push_back(r.key);
+    }
+  }
+  std::sort(want_keys.begin(), want_keys.end());
+  EXPECT_EQ(store.window_flows(0, 1), want_keys);  // every key distinct
+  EXPECT_FALSE(store.window_flow(0, 1, flow_key(8)).has_value());
+  EXPECT_EQ(store.window_flow(0, 0, zero.key)->zero_count(), 3u);
+  EXPECT_EQ(store.window_flow(0, 0, twins[3])->count(), model[0][3].sketch.count());
 }
 
 // Concurrency smoke for the TSan pass: writers tee while readers window.

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 #include <vector>
 
 #include "common/rng.h"
@@ -269,6 +270,27 @@ TEST(LatencySketchTest, FromPartsRoundTrip) {
   EXPECT_EQ(rebuilt.count(), s.count());
   EXPECT_EQ(rebuilt.zero_count(), s.zero_count());
   EXPECT_EQ(rebuilt.quantile(0.9), s.quantile(0.9));
+}
+
+// add() locates bins with a branch-free bisection: every array size (odd,
+// even, powers of two and their neighbours) and every position (front,
+// middle, back, between, repeats) must land where an ordered map puts it.
+TEST(BinStoreTest, AddMatchesOrderedMap) {
+  Xoshiro256 rng(23);
+  for (int trial = 0; trial < 300; ++trial) {
+    BinStore got;
+    std::map<std::int32_t, std::uint64_t> want;
+    const int adds = trial < 40 ? trial : static_cast<int>(rng.uniform(0.0, 600.0));
+    const double span = trial % 2 == 0 ? 40.0 : 4000.0;  // dense repeats vs sparse
+    for (int i = 0; i < adds; ++i) {
+      const auto index = static_cast<std::int32_t>(rng.uniform(-span, span));
+      const auto count = static_cast<std::uint64_t>(1 + (i & 7));
+      got.add(index, count);
+      want[index] += count;
+      ASSERT_EQ(got.size(), want.size()) << "trial " << trial << " add " << i;
+    }
+    ASSERT_TRUE(got == want) << "trial " << trial;
+  }
 }
 
 }  // namespace
